@@ -197,5 +197,5 @@ class AntiEntropyProtocol(Protocol):
                 times = digest_times + latency.draw(rng, recipients.size)
                 fresh_mask = ~has_flat[recipients]
                 latency.record(recipients[fresh_mask], times[fresh_mask])
-            has_flat[np.unique(recipients)] = True
+            has_flat[recipients] = True
         return has_message, messages, dropped, rounds, control

@@ -28,7 +28,7 @@ from repro.simulation.churn import ChurnScheduleBatch
 from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
-from repro.utils.sampling import sample_distinct_rows_excluding
+from repro.utils.sampling import sample_distinct_rows_excluding, unique_unseen
 from repro.utils.validation import check_integer
 
 __all__ = ["FloodingProtocol"]
@@ -186,8 +186,8 @@ class FloodingProtocol(Protocol):
                     times = times[keep]
                 fresh_mask = ~delivered[targets]
                 latency.record(targets[fresh_mask], times[fresh_mask])
-            fresh = np.unique(targets)
-            fresh = fresh[~delivered[fresh]]
+            # Sorted, so the next wave (and its loss draws) runs in cell order.
+            fresh = unique_unseen(targets, delivered)
             delivered[fresh] = True
             frontier = fresh[alive_flat[fresh]]
         return delivered.reshape(repetitions, n), messages, dropped, rounds

@@ -248,7 +248,7 @@ class HyParViewProtocol(Protocol):
                 fresh_mask = alive_flat[landed] & ~has_flat[landed]
                 latency.record(landed[fresh_mask], push_times[fresh_mask])
             if landed.size:
-                fresh = np.unique(landed[alive_flat[landed] & ~has_flat[landed]])
+                fresh = landed[alive_flat[landed] & ~has_flat[landed]]
                 has_flat[fresh] = True
                 if latency is not None:
                     # A matured push can hand the message to a replica whose

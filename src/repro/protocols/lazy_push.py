@@ -270,8 +270,7 @@ class LazyPushProtocol(Protocol):
                 fresh_mask = alive_flat[cells] & ~has_flat[cells]
                 latency.record(cells[fresh_mask], push_times[fresh_mask])
             if cells.size:
-                fresh = np.unique(cells[alive_flat[cells] & ~has_flat[cells]])
-                has_flat[fresh] = True
+                has_flat[cells[alive_flat[cells] & ~has_flat[cells]]] = True
             rep_l, mem_l = np.nonzero(holders & ~eager[:, None])
             cells = np.empty(0, dtype=np.int64)
             senders = np.empty(0, dtype=np.int64)

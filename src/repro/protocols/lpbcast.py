@@ -166,7 +166,7 @@ class LpbcastProtocol(Protocol):
                     times = times[keep]
                 fresh_mask = alive_flat[cells] & ~has_flat[cells]
                 latency.record(cells[fresh_mask], times[fresh_mask])
-            fresh = np.unique(cells[alive_flat[cells] & ~has_flat[cells]])
+            fresh = cells[alive_flat[cells] & ~has_flat[cells]]
             has_flat[fresh] = True
             if latency is not None:
                 # A matured push can hand the message to a replica whose

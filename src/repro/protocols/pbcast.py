@@ -231,8 +231,7 @@ class PbcastProtocol(Protocol):
                     pull_times = pull_times[keep]
             if latency is not None:
                 latency.record(pull_cells, pull_times + latency.draw(rng, pull_cells.size))
-            fresh = np.unique(pull_cells)
-            recovered = np.bincount(fresh // n, minlength=repetitions) > 0
+            recovered = np.bincount(pull_cells // n, minlength=repetitions) > 0
             if latency is None:
                 active &= recovered
             else:
@@ -241,7 +240,7 @@ class PbcastProtocol(Protocol):
                 # makes) a replica active.  Without in-flight messages this
                 # reduces to the `active &= recovered` of the plane-off path.
                 active = recovered
-            has_flat[fresh] = True
+            has_flat[pull_cells] = True
         if latency is not None:
             # Broadcast legs still in flight at the horizon arrive anyway —
             # the round budget bounds gossiping, not physics.  In-flight

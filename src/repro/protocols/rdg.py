@@ -160,7 +160,7 @@ class RouteDrivenGossip(Protocol):
                         push_times = push_times[keep]
                     fresh_mask = alive_flat[cells] & ~has_flat[cells]
                     latency.record(cells[fresh_mask], push_times[fresh_mask])
-                fresh = np.unique(cells[alive_flat[cells] & ~has_flat[cells]])
+                fresh = cells[alive_flat[cells] & ~has_flat[cells]]
                 has_flat[fresh] = True
                 if latency is not None:
                     # A matured push can revive a replica whose holders had

@@ -429,7 +429,8 @@ def dimension_from_surface(
         :func:`~repro.analysis.dimensioning.dimension_fanout`.
     live_kwargs:
         Extra keyword arguments forwarded to the live solver (``seed``,
-        ``protocol_factory``, replica budgets, ...).
+        ``protocol_factory``, replica budgets, ...).  ``seed`` defaults to
+        the surface's build seed, so a repeated query gets the same answer.
     """
     if objective not in ("min_fanout", "min_cost"):
         raise ValueError(f"objective must be 'min_fanout' or 'min_cost', got {objective!r}")
@@ -486,6 +487,7 @@ def dimension_from_surface(
         live_solver = dimension_fanout
     if surface.protocol in GOSSIP_PROTOCOLS:
         live_kwargs.setdefault("conditional_on_spread", surface.conditional_on_spread)
+    live_kwargs.setdefault("seed", surface.seed)
     live = live_solver(
         int(n),
         float(q),

@@ -6,11 +6,11 @@ Three implementations of the same protocol are provided:
   propagates **all replicas of an experiment simultaneously** as ``(R, n)``
   boolean masks: per gossip round there is one vectorised fanout draw for
   every (replica, frontier-member) pair, one batched distinct-target draw
-  through :meth:`MembershipView.sample_targets_batch`, and one
-  ``unique``/``bincount`` pass that books deliveries, duplicates, and message
-  counts exactly.  This removes the Python-interpreter round trips that
-  dominated per-replica simulation and is 10-50× faster on the paper's
-  Figs. 4-5 sweeps.
+  through :meth:`MembershipView.sample_targets_batch`, and one sort-based
+  dedup (:func:`~repro.utils.sampling.unique_unseen`) plus ``bincount`` pass
+  that books deliveries, duplicates, and message counts exactly.  This
+  removes the Python-interpreter round trips that dominated per-replica
+  simulation and is 10-50× faster on the paper's Figs. 4-5 sweeps.
 * :func:`simulate_gossip_once` — the scalar frontier (BFS) Monte-Carlo kept
   as the behavioural reference for the batched engine.  Time is abstracted
   into gossip "hops"; within a hop every newly infected nonfailed member
@@ -48,6 +48,7 @@ from repro.simulation.metrics import ExecutionMetrics
 from repro.simulation.network import NetworkModel
 from repro.simulation.node import Member
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.sampling import unique_unseen
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
@@ -499,8 +500,9 @@ def simulate_gossip_batch(
     duplicates = np.zeros(repetitions, dtype=np.int64)
     messages_dropped = np.zeros(repetitions, dtype=np.int64)
 
-    frontier = np.zeros((repetitions, n), dtype=bool)
-    frontier[:, source] = True
+    # The frontier is the sorted flat (replica * n + member) ids of the members
+    # forwarding this round: the row-major order a dense mask's nonzero gives.
+    frontier = np.arange(repetitions, dtype=np.int64) * n + source
     received_flat = received.ravel()
     delivered_flat = delivered.ravel()
     alive_flat = alive_masks.ravel()
@@ -522,10 +524,9 @@ def simulate_gossip_batch(
         if churn is not None:
             # Members that left (or have not yet joined) neither forward nor
             # receive during this round.
-            present = churn.present_at(round_index)
-            present_flat = present.ravel()
-            frontier &= present
-        active = frontier.any(axis=1)
+            present_flat = churn.present_at(round_index).ravel()
+            frontier = frontier[present_flat[frontier]]
+        active = np.bincount(frontier // n, minlength=repetitions) > 0
         if plane is not None:
             # In-flight messages keep a replica's clock running even when no
             # member is forwarding this round.
@@ -537,8 +538,8 @@ def simulate_gossip_batch(
         cell_ids = np.zeros(0, dtype=np.int64)
         arrived_per_replica = np.zeros(repetitions, dtype=np.int64)
         no_forwarders = False
-        replica_idx, member_idx = np.nonzero(frontier)
-        frontier = np.zeros((repetitions, n), dtype=bool)
+        replica_idx, member_idx = np.divmod(frontier, n)
+        frontier = frontier[:0]
         if member_idx.size:
             fanouts = distribution.sample(member_idx.size, seed=rng)
             forwarding = fanouts > 0
@@ -601,13 +602,11 @@ def simulate_gossip_batch(
         # Deliveries are booked per (replica, target) cell: duplicates are
         # targets already infected or repeated within this round's batch
         # (dropped messages never arrive, so they are not duplicates).
-        unique_cells = np.unique(cell_ids)
-        fresh = unique_cells[~received_flat[unique_cells]]
+        fresh = unique_unseen(cell_ids, received_flat)
         duplicates += arrived_per_replica - np.bincount(fresh // n, minlength=repetitions)
         received_flat[fresh] = True
-        newly_alive = fresh[alive_flat[fresh]]
-        delivered_flat[newly_alive] = True
-        frontier.ravel()[newly_alive] = True
+        frontier = fresh[alive_flat[fresh]]
+        delivered_flat[frontier] = True
 
     delivery_times = None
     if plane is not None and latency is None:

@@ -1,0 +1,140 @@
+"""Fixed-seed golden runs of the batched engines, one SHA-256 per run.
+
+Each case runs one batched engine at small scale (n=300, R=6, one fixed seed)
+and hashes what a refactor must preserve: the ``(R, n)`` delivered masks and
+the per-replica integer counters (``messages_sent``, ``messages_dropped``,
+``duplicates`` or ``control_messages_sent``, ``rounds``).  The cases are
+
+* :func:`~repro.simulation.gossip.simulate_gossip_batch` under no plane,
+  i.i.d. loss, exponential latency and Poisson churn;
+* the nine protocols of ``protocol_zoo(4, 8, include_peer_sampling=True,
+  include_recovery=True)`` through
+  :func:`~repro.simulation.protocol_batch.simulate_protocol_batch` under no
+  plane, i.i.d. loss, Gilbert–Elliott loss, Poisson churn and exponential
+  latency.
+
+The recorded digests live in ``digests.json`` next to this file, together
+with the numpy version they were taken under.  A change that is meant to
+alter a fixed-seed output regenerates them and says why::
+
+    PYTHONPATH=src python -m tests.golden.cases
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from collections.abc import Callable
+from pathlib import Path
+from typing import Any
+
+import numpy as np
+
+from repro.core.distributions import PoissonFanout
+from repro.experiments.protocol_comparison import protocol_zoo
+from repro.simulation.churn import PoissonChurnModel
+from repro.simulation.gossip import simulate_gossip_batch
+from repro.simulation.network import (
+    GilbertElliottNetworkModel,
+    NetworkModel,
+    latency_exponential,
+)
+from repro.simulation.protocol_batch import simulate_protocol_batch
+
+DIGESTS_PATH = Path(__file__).with_name("digests.json")
+REGENERATE = "PYTHONPATH=src python -m tests.golden.cases"
+
+N, REPETITIONS, Q, SEED = 300, 6, 0.9, 20080149
+FANOUT, ROUNDS = 4, 8
+
+GOSSIP_COUNTERS = ("messages_sent", "messages_dropped", "duplicates", "rounds")
+PROTOCOL_COUNTERS = ("messages_sent", "messages_dropped", "control_messages", "rounds")
+
+
+#: One fresh channel per run: network models carry counters and burst state.
+NETWORKS: dict[str, Callable[[], NetworkModel]] = {
+    "iid-loss": lambda: NetworkModel(loss_probability=0.1),
+    "gilbert-elliott": lambda: GilbertElliottNetworkModel(
+        loss_probability=0.02, bad_loss_probability=0.5, p_good_to_bad=0.1, p_bad_to_good=0.4
+    ),
+    # Mean 1.5 rounds: a good share of messages matures in a later round.
+    "latency": lambda: NetworkModel(latency=latency_exponential(1.5)),
+}
+CHURN = PoissonChurnModel(leave_rate=0.02, join_rate=0.2, initially_absent=0.05)
+
+
+def digest(result: Any, counters: tuple[str, ...]) -> str:
+    """SHA-256 over a batched result's delivered masks and integer counters."""
+    h = hashlib.sha256()
+    fields = [("delivered", np.asarray(result.delivered, dtype=np.uint8))]
+    for name in counters:
+        value = getattr(result, name)
+        value = value() if callable(value) else value
+        fields.append((name, np.asarray(value, dtype="<i8")))
+    for name, array in fields:
+        h.update(f"{name}:{array.shape}:".encode())
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+def _gossip_case(plane: str) -> Callable[[], str]:
+    def run() -> str:
+        rng = np.random.default_rng(SEED)
+        result = simulate_gossip_batch(
+            N,
+            PoissonFanout(float(FANOUT)),
+            Q,
+            repetitions=REPETITIONS,
+            seed=rng,
+            network=NETWORKS[plane]() if plane in NETWORKS else None,
+            churn=CHURN.draw_batch(N, REPETITIONS, rng) if plane == "churn" else None,
+        )
+        return digest(result, GOSSIP_COUNTERS)
+
+    return run
+
+
+def _protocol_case(protocol: Any, plane: str) -> Callable[[], str]:
+    def run() -> str:
+        result = simulate_protocol_batch(
+            protocol,
+            N,
+            Q,
+            repetitions=REPETITIONS,
+            seed=SEED,
+            network=NETWORKS[plane]() if plane in NETWORKS else None,
+            churn=CHURN if plane == "churn" else None,
+        )
+        return digest(result, PROTOCOL_COUNTERS)
+
+    return run
+
+
+def cases() -> dict[str, Callable[[], str]]:
+    """Every golden case by id (``<engine or protocol id>/<plane>``)."""
+    out = {
+        f"gossip/{plane}": _gossip_case(plane)
+        for plane in ("plain", "iid-loss", "latency", "churn")
+    }
+    zoo = protocol_zoo(FANOUT, ROUNDS, include_peer_sampling=True, include_recovery=True)
+    for protocol_id, protocol in zoo:
+        for plane in ("plain", "iid-loss", "gilbert-elliott", "churn", "latency"):
+            out[f"{protocol_id}/{plane}"] = _protocol_case(protocol, plane)
+    return out
+
+
+def main() -> None:
+    """Run every case and rewrite ``digests.json``."""
+    digests = {case_id: run() for case_id, run in cases().items()}
+    record = {
+        "numpy": np.__version__,
+        "command": REGENERATE,
+        "scale": {"n": N, "repetitions": REPETITIONS, "q": Q, "seed": SEED},
+        "digests": digests,
+    }
+    DIGESTS_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {len(digests)} digests to {DIGESTS_PATH}")
+
+
+if __name__ == "__main__":
+    main()

@@ -80,6 +80,14 @@ class TestHandleRequest:
         )
         assert not response["ok"]
 
+    def test_live_fallback_is_deterministic(self, engine):
+        # Off-grid q forces the live solver; it runs from the surface's seed.
+        request = {"op": "dimension", "q": 0.5, "target": 0.3, "live_fallback": True}
+        first = handle_request(engine, dict(request))
+        second = handle_request(engine, dict(request))
+        assert first["ok"] and first["source"] == "live"
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
     def test_non_object_request(self, engine):
         assert not handle_request(engine, [1, 2, 3])["ok"]
 

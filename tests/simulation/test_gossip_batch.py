@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.core.poisson_case import poisson_reliability
@@ -21,6 +23,7 @@ from repro.simulation.gossip import (
     simulate_gossip_once,
 )
 from repro.simulation.membership import FullView, UniformPartialView
+from repro.simulation.network import NetworkModel, latency_exponential
 from tests.helpers.statistical import (
     assert_reliability_within_band,
     assert_same_counts_chisquare,
@@ -143,6 +146,47 @@ class TestEdgeCases:
             membership=UniformPartialView(300, 2, seed=12),
         )
         assert tiny.reliability().mean() <= full.reliability().mean() + 0.05
+
+
+_NETWORKS = {
+    "none": lambda: None,
+    "iid-loss": lambda: NetworkModel(loss_probability=0.2),
+    "latency": lambda: NetworkModel(latency=latency_exponential(1.5)),
+    "loss+latency": lambda: NetworkModel(latency=latency_exponential(1.5), loss_probability=0.2),
+}
+
+
+class TestConservation:
+    """Every arrived message is either a duplicate or the first copy a member gets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        repetitions=st.integers(1, 6),
+        mean=st.floats(0.5, 6.0),
+        network=st.sampled_from(sorted(_NETWORKS)),
+        q=st.sampled_from([1.0, 0.9, 0.5]),
+    )
+    def test_sent_minus_dropped_minus_duplicates_is_fresh(
+        self, seed, n, repetitions, mean, network, q
+    ):
+        result = simulate_gossip_batch(
+            n,
+            PoissonFanout(mean),
+            q,
+            repetitions=repetitions,
+            seed=seed,
+            network=_NETWORKS[network](),
+        )
+        fresh = result.messages_sent - result.messages_dropped - result.duplicates
+        reached = result.delivered.sum(axis=1) - 1
+        if q == 1.0:
+            np.testing.assert_array_equal(fresh, reached)
+        else:
+            # A failed member receives (and books) its first copy without
+            # being delivered.
+            assert np.all(fresh >= reached)
 
 
 class TestDistributionEquivalence:

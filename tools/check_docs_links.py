@@ -13,14 +13,25 @@ of ``docs/ARCHITECTURE.md`` against the live ``tools.lint`` rule inventory:
 every ``RLxxx`` rule must have a documentation entry and every documented
 code must exist, so the docs cannot drift from the checker.
 
-Exit status: 0 when every link resolves, 1 otherwise (one line per broken
-link).  Run from the repository root: ``python tools/check_docs_links.py``.
+It also resolves every backticked dotted path into the package in
+``README.md`` and ``docs/*.md`` — a path starting with one of the
+:data:`SUBPACKAGES` (``simulation.latency``), with or without a leading
+``repro.`` (``repro.utils.sampling.unique_unseen``).  A path resolves when it
+names a module under ``src/repro`` or a name that module (or a class in it)
+defines.  Resolution reads the source with :mod:`ast`, so the check imports
+nothing and needs no third-party package.
+
+Exit status: 0 when every link and module path resolves, 1 otherwise (one
+line per problem).  Run from the repository root:
+``python tools/check_docs_links.py``.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 #: Inline markdown links, non-greedy so adjacent links don't merge.
@@ -107,6 +118,88 @@ def check_static_invariants_section(root: Path) -> list:
     return problems
 
 
+#: Subpackages of ``repro`` whose dotted paths the docs must spell correctly.
+SUBPACKAGES = (
+    "simulation",
+    "protocols",
+    "core",
+    "graphs",
+    "serving",
+    "analysis",
+    "experiments",
+    "utils",
+)
+
+_NAMES = "|".join(SUBPACKAGES)
+#: A whole backticked span that is a dotted path into one of the subpackages.
+MODULE_PATH_PATTERN = re.compile(rf"`(repro\.(?:{_NAMES})(?:\.\w+)*|(?:{_NAMES})(?:\.\w+)+)`")
+
+
+def _defined(body: list[ast.stmt]) -> Iterator[tuple[str, ast.stmt]]:
+    """Yield ``(name, node)`` for every name a block of statements binds."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Store):
+                        yield leaf.id, node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node
+        elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            nested = [*node.body, *getattr(node, "orelse", []), *getattr(node, "finalbody", [])]
+            for handler in getattr(node, "handlers", []):
+                nested.extend(handler.body)
+            yield from _defined(nested)
+
+
+def _defines(module: Path, attributes: list[str]) -> bool:
+    """True if ``module`` binds ``attributes[0]``, and each class the rest in turn."""
+    body: list[ast.stmt] = ast.parse(module.read_text(encoding="utf-8")).body
+    for attribute in attributes:
+        node = dict(_defined(body)).get(attribute)
+        if node is None:
+            return False
+        if not isinstance(node, ast.ClassDef):
+            return True  # a function or value: nothing further to read statically
+        body = node.body
+    return True
+
+
+def resolve_module_path(dotted: str, src: Path) -> bool:
+    """True if ``dotted`` names a module under ``src/repro`` or a name defined in one."""
+    parts = dotted.split(".")
+    if parts[0] == "repro":
+        parts = parts[1:]
+    path = src / "repro"
+    while parts and (path / parts[0] / "__init__.py").is_file():
+        path = path / parts.pop(0)
+    if parts and (path / f"{parts[0]}.py").is_file():
+        module = path / f"{parts.pop(0)}.py"
+    else:
+        module = path / "__init__.py"
+    return _defines(module, parts)
+
+
+def check_module_paths(root: Path) -> list:
+    """Return the backticked package paths in README.md and docs/ that do not resolve."""
+    files = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+    problems = []
+    for path in files:
+        if not path.is_file():
+            continue
+        for match in MODULE_PATH_PATTERN.finditer(path.read_text(encoding="utf-8")):
+            if not resolve_module_path(match.group(1), root / "src"):
+                problems.append(
+                    f"{path.relative_to(root)}: `{match.group(1)}` names no module or "
+                    "attribute under src/repro"
+                )
+    return problems
+
+
 def main() -> int:
     root = Path(__file__).resolve().parents[1]
     files = collect_markdown_files(root)
@@ -114,12 +207,13 @@ def main() -> int:
     for path in files:
         problems.extend(check_file(path, root))
     problems.extend(check_static_invariants_section(root))
+    problems.extend(check_module_paths(root))
     print(f"checked {len(files)} markdown file(s)")
     if problems:
         for problem in problems:
             print(f"  BROKEN: {problem}")
         return 1
-    print("all relative links resolve")
+    print("all relative links and module paths resolve")
     return 0
 
 
