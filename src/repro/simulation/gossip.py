@@ -537,43 +537,34 @@ def simulate_gossip_batch(
 
         cell_ids = np.zeros(0, dtype=np.int64)
         arrived_per_replica = np.zeros(repetitions, dtype=np.int64)
-        no_forwarders = False
         replica_idx, member_idx = np.divmod(frontier, n)
         frontier = frontier[:0]
         if member_idx.size:
+            # A member drawing fanout zero owns no cells of the target draw.
             fanouts = distribution.sample(member_idx.size, seed=rng)
-            forwarding = fanouts > 0
-            if not forwarding.any():
-                no_forwarders = True
-            else:
-                targets, sender_idx = view.sample_targets_batch(
-                    member_idx[forwarding], fanouts[forwarding], rng
-                )
-                if targets.size:
-                    target_replica = replica_idx[forwarding][sender_idx]
-                    sent_per_replica = np.bincount(target_replica, minlength=repetitions)
-                    messages_sent += sent_per_replica
-                    arrived_per_replica = sent_per_replica
-                    if network is not None:
-                        keep, dropped = network.draw_loss_batch(
-                            rng, target_replica, repetitions
+            targets, sender_idx = view.sample_targets_batch(member_idx, fanouts, rng)
+            if targets.size:
+                target_replica = replica_idx[sender_idx]
+                sent_per_replica = np.bincount(target_replica, minlength=repetitions)
+                messages_sent += sent_per_replica
+                arrived_per_replica = sent_per_replica
+                if network is not None:
+                    keep, dropped = network.draw_loss_batch(rng, target_replica, repetitions)
+                    messages_dropped += dropped
+                    arrived_per_replica = sent_per_replica - dropped
+                    targets = targets[keep]
+                    target_replica = target_replica[keep]
+                if present_flat is not None and targets.size:
+                    # Sends to absent peers are wasted: sent but never arrived
+                    # (and never duplicates), without counting as network drops.
+                    keep = present_flat[target_replica * n + targets]
+                    if not keep.all():
+                        arrived_per_replica = arrived_per_replica - np.bincount(
+                            target_replica[~keep], minlength=repetitions
                         )
-                        messages_dropped += dropped
-                        arrived_per_replica = sent_per_replica - dropped
                         targets = targets[keep]
                         target_replica = target_replica[keep]
-                    if present_flat is not None and targets.size:
-                        # Sends to absent peers are wasted: sent but never
-                        # arrived (and never duplicates), without counting as
-                        # network drops.
-                        keep = present_flat[target_replica * n + targets]
-                        if not keep.all():
-                            arrived_per_replica = arrived_per_replica - np.bincount(
-                                target_replica[~keep], minlength=repetitions
-                            )
-                            targets = targets[keep]
-                            target_replica = target_replica[keep]
-                    cell_ids = target_replica * n + targets
+                cell_ids = target_replica * n + targets
 
         cell_times = None
         if plane is not None:
@@ -588,12 +579,8 @@ def simulate_gossip_batch(
                 cell_ids = cell_ids[keep]
                 cell_times = cell_times[keep]
             arrived_per_replica = np.bincount(cell_ids // n, minlength=repetitions)
-        elif no_forwarders:
-            break
 
         if not cell_ids.size:
-            if no_forwarders and plane is not None and not plane.has_pending():
-                break
             continue
         if plane is not None:
             fresh_mask = ~received_flat[cell_ids]

@@ -24,16 +24,22 @@ Views expose two sampling operations:
   whole *batch* of (member, fanout) pairs in a handful of array operations.
   This is the hot path of the batched Monte-Carlo engine
   (:func:`repro.simulation.gossip.simulate_gossip_batch`): per gossip round
-  it replaces thousands of Python-level Floyd loops with one vectorised
-  rejection pass (draw with replacement, redraw the rare rows that collide)
-  backed by an exact random-key top-``k`` (Gumbel-top-k style argpartition)
-  fallback for rows whose fanout is a large fraction of the view.
+  it replaces thousands of Python-level Floyd loops with one call of the
+  padding-free kernel :func:`repro.utils.sampling.sample_distinct_flat`.
+  Each sender draws exactly its own fanout (a sender with fanout zero owns
+  nothing), the kernel's row ids are the returned senders, and no
+  ``(senders, largest fanout)`` matrix is built.  Fixed-fanout batches read
+  the generator exactly as the earlier padded sampler did, so their
+  fixed-seed outputs are unchanged; variable-fanout batches (Poisson gossip,
+  the Fig. 4/5 tables, dimensioning answers) draw a different stream from
+  the same law.
 
 The distinct-sampling kernels themselves live in
 :mod:`repro.utils.sampling` so the graph-percolation ensemble
 (:mod:`repro.graphs.ensemble`) and the simulator share one implementation;
-``sample_distinct`` and ``sample_distinct_rows`` are re-exported here for
-backwards compatibility.
+``sample_distinct``, ``sample_distinct_rows`` and
+``sample_distinct_rows_excluding`` are re-exported here for backwards
+compatibility.
 
 Time-varying membership
 -----------------------
@@ -66,6 +72,7 @@ import numpy.typing as npt
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.sampling import (
     sample_distinct,
+    sample_distinct_flat,
     sample_distinct_rows,
     sample_distinct_rows_excluding,
 )
@@ -77,6 +84,7 @@ __all__ = [
     "UniformPartialView",
     "sample_distinct",
     "sample_distinct_rows",
+    "sample_distinct_rows_excluding",
 ]
 
 
@@ -269,14 +277,13 @@ class FullView(MembershipView):
         self, members: np.ndarray, fanouts: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         members, fanouts = _check_batch_args(members, fanouts, self.n)
-        # Each row samples from the n-1 virtual slots with its own id removed
-        # (the shared exclusion kernel restores real identifiers).
-        ks = np.minimum(fanouts, self.n - 1)
-        matrix, valid = sample_distinct_rows_excluding(rng, self.n, fanouts, members)
-        senders = np.repeat(np.arange(members.size, dtype=np.int64), np.maximum(ks, 0))
-        # The shared sampler may hand back a narrower dtype; the view API
-        # contract (and the other implementations) is int64 identifiers.
-        return self._drop_absent(matrix[valid].astype(np.int64, copy=False), senders)
+        # Each row samples from the n-1 virtual slots with its own id removed;
+        # slots at or above the sender's id shift up by one to restore real
+        # identifiers (int64, the view API's identifier type).
+        slots, senders = sample_distinct_flat(rng, self.n - 1, fanouts)
+        targets = slots.astype(np.int64)
+        targets += targets >= members[senders]
+        return self._drop_absent(targets, senders)
 
 
 class UniformPartialView(MembershipView):
@@ -331,11 +338,5 @@ class UniformPartialView(MembershipView):
         self, members: np.ndarray, fanouts: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         members, fanouts = _check_batch_args(members, fanouts, self.n)
-        size = self._view_matrix.shape[1]
-        ks = np.minimum(fanouts, size)
-        idx, valid = sample_distinct_rows(rng, size, ks)
-        senders = np.repeat(np.arange(members.size, dtype=np.int64), np.maximum(ks, 0))
-        if not idx.shape[1]:
-            return np.empty(0, dtype=np.int64), senders
-        targets = self._view_matrix[members[:, None], idx]
-        return self._drop_absent(targets[valid], senders)
+        slots, senders = sample_distinct_flat(rng, self._view_matrix.shape[1], fanouts)
+        return self._drop_absent(self._view_matrix[members[senders], slots], senders)

@@ -1,4 +1,9 @@
-"""Property tests of the sort-based dedup kernel against ``np.unique``."""
+"""Property tests of the sampling kernels.
+
+The dedup kernel is pinned to ``np.unique``; the padding-free distinct sampler
+is pinned to the padded reference in ``tests/reference`` where both read the
+generator alike (one shared k), and by law everywhere else.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from repro.utils.sampling import unique_unseen
+from repro.simulation.membership import FullView
+from repro.utils.sampling import (
+    sample_distinct_flat,
+    sample_distinct_rows,
+    sample_distinct_rows_excluding,
+    unique_unseen,
+)
+from tests.reference import sampling_padded
 
 #: Value ranges from "all equal" through heavily repeated to almost all distinct.
 _HIGHS = st.sampled_from([0, 1, 3, 40, 5000, 10**6])
@@ -63,3 +76,144 @@ def test_does_not_modify_input():
     values = np.array([4, 1, 4, 0], dtype=np.int64)
     unique_unseen(values, np.zeros(5, dtype=bool))
     np.testing.assert_array_equal(values, [4, 1, 4, 0])
+
+
+# ---------------------------------------------------------------------------
+# The padding-free distinct sampler
+# ---------------------------------------------------------------------------
+
+
+def _same_stream(a: np.random.Generator, b: np.random.Generator) -> bool:
+    """True when both generators produce the same next draw."""
+    return bool(a.integers(1 << 62) == b.integers(1 << 62))
+
+
+@st.composite
+def uniform_batches(draw):
+    """``(population, ks)`` with one shared k, from k = 0 up to k = population."""
+    population = draw(st.integers(1, 60))
+    k = draw(st.integers(0, population))
+    return population, np.full(draw(st.integers(0, 40)), k, dtype=np.int64)
+
+
+@st.composite
+def mixed_batches(draw):
+    """``(population, ks)`` with any ks, negative and above the population included."""
+    population = draw(st.integers(1, 40))
+    ks = draw(st.lists(st.integers(-3, population + 3), max_size=40))
+    return population, np.array(ks, dtype=np.int64)
+
+
+class TestUniformKMatchesThePaddedReference:
+    """With one shared k the flat kernel reads the generator as the padded one did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(uniform_batches(), st.integers(0, 2**32 - 1))
+    def test_values_and_next_draw(self, batch, seed):
+        population, ks = batch
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        values, rows = sample_distinct_flat(new, population, ks)
+        matrix, valid = sampling_padded.sample_distinct_rows(old, population, ks)
+        np.testing.assert_array_equal(values, matrix[valid])
+        assert values.dtype == matrix.dtype or not values.size
+        assert _same_stream(new, old)
+
+    @pytest.mark.parametrize(
+        ("population", "k", "m"),
+        [
+            (3, 2, 500),  # a third of the rows collide: several redraw rounds
+            (5, 4, 500),  # most rows collide: many exhaust the budget and take the keys
+            (20, 10, 300),  # k^2 > 4 population: every row takes the random keys
+            (8, 8, 200),  # k = population: full permutations
+            (1000, 7, 4000),  # the gossip regime: rare redraws
+        ],
+    )
+    def test_every_path(self, population, k, m):
+        ks = np.full(m, k, dtype=np.int64)
+        new, old = np.random.default_rng(k * m), np.random.default_rng(k * m)
+        matrix, valid = sample_distinct_rows(new, population, ks)
+        expected, _ = sampling_padded.sample_distinct_rows(old, population, ks)
+        np.testing.assert_array_equal(matrix, expected)
+        assert valid.all()
+        assert _same_stream(new, old)
+
+    @settings(max_examples=100, deadline=None)
+    @given(uniform_batches(), st.integers(0, 2**32 - 1))
+    def test_excluding(self, batch, seed):
+        population, ks = batch
+        population += 1  # one slot is excluded per row
+        exclude = np.random.default_rng(seed).integers(0, population, ks.size)
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        matrix, valid = sample_distinct_rows_excluding(new, population, ks, exclude)
+        ref, ref_valid = sampling_padded.sample_distinct_rows_excluding(
+            old, population, ks, exclude
+        )
+        np.testing.assert_array_equal(matrix[valid], ref[ref_valid])
+        assert _same_stream(new, old)
+
+
+class TestAnyKs:
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_batches(), st.integers(0, 2**32 - 1))
+    def test_rows_hold_exactly_their_distinct_values(self, batch, seed):
+        population, ks = batch
+        values, rows = sample_distinct_flat(np.random.default_rng(seed), population, ks)
+        sizes = np.minimum(np.maximum(ks, 0), population)
+        np.testing.assert_array_equal(rows, np.repeat(np.arange(ks.size), sizes))
+        assert ((values >= 0) & (values < population)).all()
+        for row in range(ks.size):
+            mine = values[rows == row]
+            assert np.unique(mine).size == mine.size == sizes[row]
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_batches(), st.integers(0, 2**32 - 1))
+    def test_matrix_view_agrees_with_the_flat_draw(self, batch, seed):
+        population, ks = batch
+        values, _ = sample_distinct_flat(np.random.default_rng(seed), population, ks)
+        matrix, valid = sample_distinct_rows(np.random.default_rng(seed), population, ks)
+        np.testing.assert_array_equal(matrix[valid], values)
+        np.testing.assert_array_equal(valid.sum(axis=1), np.minimum(np.maximum(ks, 0), population))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_batches(), st.integers(0, 2**32 - 1))
+    def test_excluded_id_never_appears(self, batch, seed):
+        population, ks = batch
+        population += 1
+        rng = np.random.default_rng(seed)
+        exclude = rng.integers(0, population, ks.size)
+        matrix, valid = sample_distinct_rows_excluding(rng, population, ks, exclude)
+        assert not (valid & (matrix == exclude[:, None])).any()
+        np.testing.assert_array_equal(
+            valid.sum(axis=1), np.minimum(np.maximum(ks, 0), population - 1)
+        )
+        view = FullView(population)
+        targets, senders = view.sample_targets_batch(exclude, ks, rng)
+        assert not (targets == exclude[senders]).any()
+        assert np.unique(senders * population + targets).size == targets.size
+
+    @given(st.lists(st.integers(-5, 0), max_size=30), st.integers(1, 50))
+    def test_zero_or_negative_k_draws_nothing(self, ks, population):
+        ks = np.array(ks, dtype=np.int64)
+        rng, untouched = np.random.default_rng(3), np.random.default_rng(3)
+        values, rows = sample_distinct_flat(rng, population, ks)
+        assert values.size == rows.size == 0
+        matrix, valid = sample_distinct_rows(rng, population, ks)
+        assert matrix.shape == valid.shape == (ks.size, 0)
+        assert _same_stream(rng, untouched)
+
+
+def test_inclusion_is_uniform_for_every_k_of_a_mixed_batch():
+    """Chi-square: for each k, every value is included equally often.
+
+    The batch mixes rows that redraw (k = 2..4), rows that take the random
+    keys (k^2 > 4 population) and a full permutation, at population 12.
+    """
+    population, per_k = 12, 3000
+    k_values = np.array([1, 2, 3, 4, 7, 9, 12])
+    ks = np.random.default_rng(0).permutation(np.repeat(k_values, per_k))
+    values, rows = sample_distinct_flat(np.random.default_rng(2008), population, ks)
+    row_k = ks[rows]
+    for k in k_values[:-1]:  # k = population includes every value by construction
+        counts = np.bincount(values[row_k == k], minlength=population)
+        assert counts.sum() == per_k * k
+        assert stats.chisquare(counts).pvalue > 1e-3, (k, counts)
