@@ -43,6 +43,7 @@ from itertools import product
 from typing import Any, Callable, Hashable
 
 from repro.serving.surface import GOSSIP_PROTOCOLS, ReliabilitySurface
+from repro.utils.validation import check_probability
 
 __all__ = [
     "SurfaceCoverageError",
@@ -211,12 +212,13 @@ def _bracket(axis: tuple, value: float) -> tuple:
     Returns ``(lo_index, hi_index, weight)`` with
     ``value = (1 - weight) * axis[lo] + weight * axis[hi]``; an exact hit
     (within relative tolerance) collapses to ``(i, i, 0.0)``.  Raises
-    :class:`SurfaceCoverageError` outside ``[axis[0], axis[-1]]``.
+    :class:`SurfaceCoverageError` outside ``[axis[0], axis[-1]]``, NaN
+    included (it compares False with every knot).
     """
     for i, knot in enumerate(axis):
         if math.isclose(value, knot, rel_tol=_AXIS_RTOL, abs_tol=1e-12):
             return i, i, 0.0
-    if value < axis[0] or value > axis[-1]:
+    if not axis[0] <= value <= axis[-1]:
         raise SurfaceCoverageError(
             f"value {value} outside the grid axis [{axis[0]}, {axis[-1]}]"
         )
@@ -381,6 +383,9 @@ def pareto_from_surface(engine: SurfaceQueryEngine, *, n: int, q: float,
     """
     from repro.analysis.dimensioning import pareto_frontier
 
+    target_reliability = check_probability(
+        "target_reliability", target_reliability, allow_zero=False, allow_one=False
+    )
     certified = engine.certified_candidates(
         n=n, q=q, target_reliability=target_reliability, loss=loss
     )
@@ -434,6 +439,9 @@ def dimension_from_surface(
     """
     if objective not in ("min_fanout", "min_cost"):
         raise ValueError(f"objective must be 'min_fanout' or 'min_cost', got {objective!r}")
+    target_reliability = check_probability(
+        "target_reliability", target_reliability, allow_zero=False, allow_one=False
+    )
     surface = engine.surface
     try:
         certified = engine.certified_candidates(
