@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.core.poisson_case import poisson_reliability
+from repro.simulation.churn import PoissonChurnModel
 from repro.simulation.gossip import (
     BatchGossipResult,
     simulate_gossip_batch,
@@ -116,6 +117,21 @@ class TestEdgeCases:
         assert np.all(result.messages_sent == 0)
         scalar = simulate_gossip_once(50, FixedFanout(0), 1.0, seed=6)
         assert scalar.rounds == result.rounds[0]
+
+    @pytest.mark.parametrize("plane", ["latency", "churn"])
+    def test_zero_fanout_dies_immediately_under_a_plane(self, plane):
+        rng = np.random.default_rng(6)
+        network = churn = None
+        if plane == "latency":
+            network = NetworkModel(latency=latency_exponential(1.5))
+        else:
+            churn = PoissonChurnModel(leave_rate=0.1).draw_batch(50, 5, rng)
+        result = simulate_gossip_batch(
+            50, FixedFanout(0), 1.0, repetitions=5, seed=rng, network=network, churn=churn
+        )
+        assert np.all(result.n_delivered() == 1)
+        assert np.all(result.rounds == 1)
+        assert np.all(result.messages_sent == 0)
 
     def test_q_zero_only_source_alive(self):
         result = simulate_gossip_batch(40, FixedFanout(5), 0.0, repetitions=5, seed=7)
