@@ -11,7 +11,13 @@ the per-replica integer counters (``messages_sent``, ``messages_dropped``,
   include_recovery=True)`` through
   :func:`~repro.simulation.protocol_batch.simulate_protocol_batch` under no
   plane, i.i.d. loss, Gilbert–Elliott loss, Poisson churn and exponential
-  latency.
+  latency;
+* the gossip engine and all nine protocols with every plane on at once:
+  i.i.d. (``all-iid``) or Gilbert–Elliott (``all-ge``) loss together with
+  exponential latency and Poisson churn.  These combined cases also hash the
+  ``(R, n)`` ``delivery_times``, since latency and churn interact there
+  (matured messages are re-checked against membership, and empty legs still
+  advance a bursty channel).
 
 The recorded digests live in ``digests.json`` next to this file, together
 with the numpy version they were taken under.  A change that is meant to
@@ -59,18 +65,38 @@ NETWORKS: dict[str, Callable[[], NetworkModel]] = {
     ),
     # Mean 1.5 rounds: a good share of messages matures in a later round.
     "latency": lambda: NetworkModel(latency=latency_exponential(1.5)),
+    # Combined planes: the same losses with that latency (and churn, below).
+    "all-iid": lambda: NetworkModel(latency=latency_exponential(1.5), loss_probability=0.1),
+    "all-ge": lambda: GilbertElliottNetworkModel(
+        latency=latency_exponential(1.5),
+        loss_probability=0.02,
+        bad_loss_probability=0.5,
+        p_good_to_bad=0.1,
+        p_bad_to_good=0.4,
+    ),
 }
 CHURN = PoissonChurnModel(leave_rate=0.02, join_rate=0.2, initially_absent=0.05)
+#: Planes that run with every plane on and also hash delivery times.
+COMBINED = ("all-iid", "all-ge")
 
 
-def digest(result: Any, counters: tuple[str, ...]) -> str:
-    """SHA-256 over a batched result's delivered masks and integer counters."""
+def _has_churn(plane: str) -> bool:
+    return plane == "churn" or plane in COMBINED
+
+
+def digest(result: Any, counters: tuple[str, ...], *, times: bool = False) -> str:
+    """SHA-256 over a batched result's delivered masks and integer counters.
+
+    With ``times`` the ``(R, n)`` float delivery times are hashed too.
+    """
     h = hashlib.sha256()
     fields = [("delivered", np.asarray(result.delivered, dtype=np.uint8))]
     for name in counters:
         value = getattr(result, name)
         value = value() if callable(value) else value
         fields.append((name, np.asarray(value, dtype="<i8")))
+    if times:
+        fields.append(("delivery_times", np.asarray(result.delivery_times, dtype="<f8")))
     for name, array in fields:
         h.update(f"{name}:{array.shape}:".encode())
         h.update(np.ascontiguousarray(array).tobytes())
@@ -87,9 +113,9 @@ def _gossip_case(plane: str) -> Callable[[], str]:
             repetitions=REPETITIONS,
             seed=rng,
             network=NETWORKS[plane]() if plane in NETWORKS else None,
-            churn=CHURN.draw_batch(N, REPETITIONS, rng) if plane == "churn" else None,
+            churn=CHURN.draw_batch(N, REPETITIONS, rng) if _has_churn(plane) else None,
         )
-        return digest(result, GOSSIP_COUNTERS)
+        return digest(result, GOSSIP_COUNTERS, times=plane in COMBINED)
 
     return run
 
@@ -103,9 +129,9 @@ def _protocol_case(protocol: Any, plane: str) -> Callable[[], str]:
             repetitions=REPETITIONS,
             seed=SEED,
             network=NETWORKS[plane]() if plane in NETWORKS else None,
-            churn=CHURN if plane == "churn" else None,
+            churn=CHURN if _has_churn(plane) else None,
         )
-        return digest(result, PROTOCOL_COUNTERS)
+        return digest(result, PROTOCOL_COUNTERS, times=plane in COMBINED)
 
     return run
 
@@ -114,11 +140,11 @@ def cases() -> dict[str, Callable[[], str]]:
     """Every golden case by id (``<engine or protocol id>/<plane>``)."""
     out = {
         f"gossip/{plane}": _gossip_case(plane)
-        for plane in ("plain", "iid-loss", "latency", "churn")
+        for plane in ("plain", "iid-loss", "latency", "churn", *COMBINED)
     }
     zoo = protocol_zoo(FANOUT, ROUNDS, include_peer_sampling=True, include_recovery=True)
     for protocol_id, protocol in zoo:
-        for plane in ("plain", "iid-loss", "gilbert-elliott", "churn", "latency"):
+        for plane in ("plain", "iid-loss", "gilbert-elliott", "churn", "latency", *COMBINED):
             out[f"{protocol_id}/{plane}"] = _protocol_case(protocol, plane)
     return out
 
