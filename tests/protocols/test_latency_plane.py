@@ -9,6 +9,10 @@ Two pins per protocol:
 * **delivery-time surface** — when the plane is on, the finite entries of
   ``delivery_times`` are exactly the delivered cells, and the percentile
   accessor reports an ordered p50/p99/p999.
+
+A third pin holds the membership law every leg obeys when latency and churn
+are both on: a send is wasted if its addressee is absent when it is sent,
+even if the addressee has joined by the time it would land.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.protocol_comparison import protocol_zoo
-from repro.protocols import FixedFanoutGossip
-from repro.simulation.network import NetworkModel, latency_exponential
+from repro.protocols import AntiEntropyProtocol, FixedFanoutGossip, LazyPushProtocol
+from repro.simulation.churn import DeterministicChurnModel
+from repro.simulation.network import ConstantLatency, NetworkModel, latency_exponential
 
 ZOO = protocol_zoo(4, 8, include_peer_sampling=True, include_recovery=True)
 
@@ -54,6 +59,32 @@ class TestDeliveryTimeSurface:
         assert list(pct) == ["p50", "p99", "p999"]
         assert pct["p50"] <= pct["p99"] <= pct["p999"]
         assert np.isfinite(pct["p999"])
+
+
+class TestMembershipLaw:
+    """Digests sent to a member before it joins never reach it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "protocol,first_time",
+        [
+            (AntiEntropyProtocol(fanout=2), 4.0),
+            (LazyPushProtocol(eager_threshold=0.0), 6.0),
+        ],
+        ids=["anti-entropy", "lazy-push"],
+    )
+    def test_absent_addressee_wastes_the_send(self, protocol, first_time, seed):
+        # Member 2 joins in round 2, while round-1 digests (latency 1.5, so
+        # they land in round 2) are still in flight towards it.
+        result = protocol.run_batch(
+            3,
+            1.0,
+            repetitions=1,
+            seed=seed,
+            network=NetworkModel(latency=ConstantLatency(1.5)),
+            churn=DeterministicChurnModel(joins=((2, 2),)),
+        )
+        assert result.delivery_times[0, 2] == first_time
 
 
 class TestDeliveryPercentilesGating:
