@@ -8,16 +8,15 @@ interface this narrow is what makes the cross-protocol reliability/cost
 comparison (``repro run protocol_comparison`` and
 ``benchmarks/bench_baseline_protocols.py``) meaningful.
 
-Protocols execute at two granularities:
+Protocols execute at two granularities, through one hook each:
 
-* :meth:`Protocol.run` — one execution (the exact behavioural reference);
+* :meth:`Protocol.run` — one execution (the exact behavioural reference),
+  through the scalar :meth:`Protocol._disseminate`;
 * :meth:`Protocol.run_batch` — ``R`` independent executions propagated as
   ``(R, n)`` array programs through
-  :func:`repro.simulation.protocol_batch.simulate_protocol_batch`.  Bundled
-  protocols override the :meth:`Protocol._disseminate_batch` hook with
-  vectorised implementations; the base class falls back to replaying the
-  scalar ``_disseminate`` per replica, so any subclass works (just without
-  the speedup).
+  :func:`repro.simulation.protocol_batch.simulate_protocol_batch`, through
+  the batched :meth:`Protocol._disseminate_batch`, which sends every message
+  over the batch's :class:`~repro.simulation.transport.Transport`.
 """
 
 from __future__ import annotations
@@ -36,13 +35,14 @@ from repro.utils.validation import check_integer, check_probability
 if TYPE_CHECKING:
     from repro.simulation.churn import ChurnModel, ChurnScheduleBatch
     from repro.simulation.protocol_batch import BatchProtocolResult
+    from repro.simulation.transport import Transport
 
 __all__ = ["DisseminateResult", "Protocol", "ProtocolResult"]
 
 #: What a scalar ``_disseminate`` hook returns: ``(delivered, messages,
-#: rounds)``, optionally extended with a trailing ``control_messages`` count
-#: by protocols that split control traffic from payload.
-DisseminateResult: TypeAlias = "tuple[np.ndarray, int, int] | tuple[np.ndarray, int, int, int]"
+#: rounds, control_messages)``; protocols that only push payload report 0
+#: control messages.
+DisseminateResult: TypeAlias = "tuple[np.ndarray, int, int, int]"
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,12 @@ class Protocol(ABC):
     """Abstract baseline protocol.
 
     Subclasses implement :meth:`_disseminate`, which receives the failure
-    pattern and an RNG and returns ``(delivered, messages_sent, rounds)``.
-    The shared :meth:`run` method handles failure drawing and bookkeeping so
+    pattern, an RNG and an optional network and returns ``(delivered,
+    messages_sent, rounds, control_messages)``, and
+    :meth:`_disseminate_batch`, its batched twin.  The shared :meth:`run`
+    and :meth:`run_batch` methods handle failure drawing and bookkeeping so
     every protocol is evaluated under exactly the same fault model as the
-    paper's algorithm.  Batched execution goes through
-    :meth:`_disseminate_batch` (same contract with a leading replica axis).
+    paper's algorithm.
     """
 
     #: human-readable protocol name (overridden by subclasses)
@@ -153,20 +154,12 @@ class Protocol(ABC):
             failure_pattern = model.draw(n, rng, source=source)
         alive = failure_pattern.alive.copy()
         alive[source] = True
-        if network is None:
-            # Legacy contract: external subclasses may implement the
-            # loss-free 4-argument ``_disseminate`` signature.
-            out = self._disseminate(n, alive, source, rng)
-            dropped = 0
-        else:
+        if network is not None:
             network.reset()
-            out = self._disseminate(n, alive, source, rng, network=network)
-            dropped = network.messages_dropped
-        if len(out) == 4:
-            delivered, messages, rounds, control = out
-        else:
-            delivered, messages, rounds = out
-            control = 0
+        delivered, messages, rounds, control = self._disseminate(
+            n, alive, source, rng, network=network
+        )
+        dropped = network.messages_dropped if network is not None else 0
         delivered = np.asarray(delivered, dtype=bool)
         delivered &= alive  # failed members never count as delivered
         delivered[source] = True
@@ -202,8 +195,8 @@ class Protocol(ABC):
         ``churn`` optionally supplies the dynamic-membership plane (a
         :class:`~repro.simulation.churn.ChurnModel` or a pre-drawn
         :class:`~repro.simulation.churn.ChurnScheduleBatch`); ``round_period``
-        sets the round duration of the delivery-time plane enabled by a
-        ``network`` with a latency-capable batched hook.
+        sets the round duration of the delivery-time plane a ``network``
+        enables.
         """
         from repro.simulation.protocol_batch import simulate_protocol_batch
 
@@ -229,71 +222,25 @@ class Protocol(ABC):
         rng: np.random.Generator,
         network: NetworkModel | None = None,
     ) -> DisseminateResult:
-        """Protocol-specific dissemination; returns (delivered mask, messages, rounds).
+        """Protocol-specific dissemination of one execution.
 
+        Returns ``(delivered mask, messages, rounds, control_messages)``.
         ``network`` (when not ``None``) supplies the independent message-loss
-        law via :meth:`~repro.simulation.network.NetworkModel.draw_loss`; the
-        engine only passes it when a lossy run was requested, so legacy
-        4-argument implementations keep working loss-free.  Protocols that
-        distinguish control traffic append a fourth element: ``(delivered,
-        messages, rounds, control_messages)``.
+        law via :meth:`~repro.simulation.network.NetworkModel.draw_loss`.
         """
 
-    # The scalar-replay fallback tracks no time, so it deliberately opts out
-    # of the latency keyword: results built on it honestly report
-    # ``delivery_times=None`` (see the docstring below).
-    def _disseminate_batch(  # repro-lint: disable=RL002
+    @abstractmethod
+    def _disseminate_batch(
         self,
         n: int,
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-    ) -> tuple[np.ndarray, ...]:
-        """Batched dissemination hook: ``(R, n)`` alive masks in, per-replica results out.
+        transport: Transport,
+    ) -> np.ndarray:
+        """Batched dissemination: ``(R, n)`` alive masks in, ``(R, n)`` delivered masks out.
 
-        Returns ``(delivered (R, n), messages_sent (R,), messages_dropped
-        (R,), rounds (R,))`` — the engine also accepts the legacy 3-tuple
-        without the drop counts from external subclasses, and a 5-tuple with
-        a trailing per-replica ``control_messages_sent (R,)`` from protocols
-        that split control traffic from payload.  ``churn`` (a
-        :class:`~repro.simulation.churn.ChurnScheduleBatch`) is threaded
-        through only for churn-aware runs, mirroring the ``network``
-        contract, so legacy signatures keep working.  Hooks that accept a
-        ``latency`` keyword additionally receive the batch's
-        :class:`~repro.simulation.latency.DeliveryTimePlane` when a network
-        is present; this base signature deliberately omits it — the scalar
-        replay below tracks no time, so results built on it honestly report
-        ``delivery_times=None``.  The base implementation replays the scalar
-        :meth:`_disseminate` once per replica — correct for any
-        static-membership protocol; every bundled protocol overrides it with
-        a vectorised, churn- and latency-capable array program.
+        Every message goes through ``transport``, which applies the batch's
+        loss, churn and latency planes and keeps the per-replica message,
+        drop, control and round counters the result reports.
         """
-        if churn is not None:
-            raise NotImplementedError(
-                f"protocol {self.name!r} has no batched churn-aware hook; the "
-                "scalar-replay fallback cannot apply per-round join/leave events"
-            )
-        repetitions = int(alive.shape[0])
-        delivered = np.zeros((repetitions, n), dtype=bool)
-        messages = np.zeros(repetitions, dtype=np.int64)
-        dropped = np.zeros(repetitions, dtype=np.int64)
-        rounds = np.zeros(repetitions, dtype=np.int64)
-        control = np.zeros(repetitions, dtype=np.int64)
-        for replica in range(repetitions):
-            if network is None:
-                out = self._disseminate(n, alive[replica], source, rng)
-            else:
-                dropped_before = network.messages_dropped
-                out = self._disseminate(n, alive[replica], source, rng, network=network)
-                dropped[replica] = network.messages_dropped - dropped_before
-            if len(out) == 4:
-                replica_delivered, replica_messages, replica_rounds, replica_control = out
-                control[replica] = int(replica_control)
-            else:
-                replica_delivered, replica_messages, replica_rounds = out
-            delivered[replica] = np.asarray(replica_delivered, dtype=bool)
-            messages[replica] = int(replica_messages)
-            rounds[replica] = int(replica_rounds)
-        return delivered, messages, dropped, rounds, control

@@ -13,11 +13,10 @@ import numpy as np
 
 from repro.core.distributions import FixedFanout
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
 from repro.simulation.gossip import simulate_gossip_batch
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
+from repro.simulation.transport import Transport
 from repro.utils.validation import check_integer
 
 __all__ = ["FixedFanoutGossip"]
@@ -38,7 +37,7 @@ class FixedFanoutGossip(Protocol):
         source: int,
         rng: np.random.Generator,
         network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int]:
+    ) -> tuple[np.ndarray, int, int, int]:
         received = np.zeros(n, dtype=bool)
         delivered = np.zeros(n, dtype=bool)
         received[source] = True
@@ -65,7 +64,7 @@ class FixedFanoutGossip(Protocol):
             newly_alive = fresh[alive[fresh]]
             delivered[newly_alive] = True
             frontier = newly_alive
-        return delivered, messages, rounds
+        return delivered, messages, rounds, 0
 
     def _disseminate_batch(
         self,
@@ -73,16 +72,13 @@ class FixedFanoutGossip(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
+        transport: Transport,
+    ) -> np.ndarray:
         # The constant-fanout push process IS the paper's algorithm with a
         # degenerate distribution, so the batched gossip engine does all the
-        # work; failures arrive through the pre-drawn alive masks, message
-        # loss through the shared network hook, and join/leave events through
-        # the churn plane.
-        result = simulate_gossip_batch(
+        # work; failures arrive through the pre-drawn alive masks and every
+        # send through the batch's transport.
+        return simulate_gossip_batch(
             n,
             FixedFanout(self.fanout),
             1.0,  # failures are supplied through the explicit masks
@@ -90,8 +86,5 @@ class FixedFanoutGossip(Protocol):
             source=source,
             seed=rng,
             alive=alive,
-            network=network,
-            churn=churn,
-            latency=latency,
-        )
-        return result.delivered, result.messages_sent, result.messages_dropped, result.rounds
+            transport=transport,
+        ).delivered

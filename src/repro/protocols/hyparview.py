@@ -41,10 +41,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
+from repro.simulation.transport import Transport
 from repro.utils.sampling import sample_distinct_rows, sample_distinct_rows_excluding
 from repro.utils.validation import check_integer
 
@@ -87,7 +86,7 @@ class HyParViewProtocol(Protocol):
         source: int,
         rng: np.random.Generator,
         network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int]:
+    ) -> tuple[np.ndarray, int, int, int]:
         active_size = min(self.active_size, n - 1)
         passive_size = min(self.passive_size, n - 1)
         fanout = min(self.fanout, active_size)
@@ -131,7 +130,7 @@ class HyParViewProtocol(Protocol):
                         active_view[member, slot],
                     )
                     messages += 1
-        return has_message, messages, rounds_executed
+        return has_message, messages, rounds_executed, 0
 
     def _disseminate_batch(
         self,
@@ -139,10 +138,8 @@ class HyParViewProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
+        transport: Transport,
+    ) -> np.ndarray:
         repetitions = int(alive.shape[0])
         active_size = min(self.active_size, n - 1)
         passive_size = min(self.passive_size, n - 1)
@@ -167,24 +164,18 @@ class HyParViewProtocol(Protocol):
         has_message[:, source] = True
         has_flat = has_message.ravel()
         alive_flat = alive.ravel()
-        messages = np.zeros(repetitions, dtype=np.int64)
-        dropped = np.zeros(repetitions, dtype=np.int64)
-        rounds = np.zeros(repetitions, dtype=np.int64)
 
         staleness: list[float] = []
         repairs = 0
         stale_slot_rounds = 0
         active = np.ones(repetitions, dtype=bool)
-        for round_index in range(1, self.rounds + 1):
-            if latency is not None:
-                # Pushes still in flight keep their replica's clock running.
-                active = active | latency.pending_mask()
+        for _ in range(self.rounds):
+            # Pushes still in flight keep their replica's clock running.
+            active = active | transport.pending_mask()
             if not active.any():
                 break
-            present = present_flat = None
-            if churn is not None:
-                present = churn.present_at(round_index)
-                present_flat = present.ravel()
+            present = transport.next_round()
+            if present is not None:
                 # Staleness is measured over the active-view slots of
                 # in-group nonfailed members, before this round's repairs.
                 rep_m, mem_m = np.nonzero(alive & present)
@@ -193,13 +184,13 @@ class HyParViewProtocol(Protocol):
                     stale = ~present[rep_m[:, None], slots_view]
                     staleness.append(float(stale.mean()))
                     stale_slot_rounds += int(stale.sum())
-            rounds += active
+            transport.rounds += active
             holders = has_message & alive & active[:, None]
             if present is not None:
                 holders &= present
             active &= holders.any(axis=1)
             rep_idx, mem_idx = np.nonzero(holders & active[:, None])
-            landed = np.empty(0, dtype=np.int64)
+            cells = rep_idx[:0]
             if rep_idx.size:
                 slot_idx, _ = sample_distinct_rows(
                     rng, active_size, np.full(rep_idx.size, fanout, dtype=np.int64)
@@ -209,55 +200,31 @@ class HyParViewProtocol(Protocol):
                     active_view[rep_idx, mem_idx], slot_idx, axis=1
                 ).ravel()
                 target_replica = np.repeat(rep_idx, fanout)
-                messages += np.bincount(target_replica, minlength=repetitions)
                 cells = target_replica * n + targets
-                arrived = np.ones(cells.size, dtype=bool)
-                if present_flat is not None:
+                if present is not None:
                     # A send to a departed peer fails like a broken TCP link:
                     # the sender detects it (independently of message loss)
                     # and promotes a random passive entry into that slot.
-                    broken = ~present_flat[cells]
-                    if broken.any():
-                        b_idx = np.flatnonzero(broken)
-                        b_rep = target_replica[b_idx]
-                        b_mem = np.repeat(mem_idx, fanout)[b_idx]
-                        b_slot = slot_idx.ravel()[b_idx]
-                        promoted = rng.integers(passive_size, size=b_idx.size)
-                        active_view[b_rep, b_mem, b_slot] = passive_view[
-                            b_rep, b_mem, promoted
-                        ]
-                        repairs += int(b_idx.size)
-                        arrived &= ~broken
-                if network is not None:
-                    keep, dropped_round = network.draw_loss_batch(
-                        rng, target_replica, repetitions
-                    )
-                    dropped += dropped_round
-                    arrived &= keep
-                landed = cells[arrived]
-            if latency is not None:
-                # Per-push latency draws; slow pushes land in the round they
-                # mature (re-checked against that round's churn view).  Link
-                # repair and shuffling are the membership service's local
-                # bookkeeping and stay untimed.
-                landed, push_times, _ = latency.schedule(round_index - 1, landed, rng)
-                if present_flat is not None and landed.size:
-                    keep = present_flat[landed]
-                    landed = landed[keep]
-                    push_times = push_times[keep]
-                fresh_mask = alive_flat[landed] & ~has_flat[landed]
-                latency.record(landed[fresh_mask], push_times[fresh_mask])
-            if landed.size:
-                fresh = landed[alive_flat[landed] & ~has_flat[landed]]
-                has_flat[fresh] = True
-                if latency is not None:
-                    # A matured push can hand the message to a replica whose
-                    # holders had all departed; the new holder re-activates it.
-                    active = active | (np.bincount(fresh // n, minlength=repetitions) > 0)
+                    broken = np.flatnonzero(~present.ravel()[cells])
+                    if broken.size:
+                        b_rep = target_replica[broken]
+                        b_mem = np.repeat(mem_idx, fanout)[broken]
+                        b_slot = slot_idx.ravel()[broken]
+                        promoted = rng.integers(passive_size, size=broken.size)
+                        active_view[b_rep, b_mem, b_slot] = passive_view[b_rep, b_mem, promoted]
+                        repairs += int(broken.size)
+                cells, _ = transport.send(cells, target_replica)
+            # Link repair and shuffling are the membership service's local
+            # bookkeeping and stay untimed.
+            cells, times, _ = transport.arrive(cells)
+            fresh = transport.deliver(cells, times, has_flat, alive_flat)
+            # A matured push can hand the message to a replica whose holders
+            # had all departed; the new holder re-activates it.
+            active = active | (np.bincount(fresh // n, minlength=repetitions) > 0)
             # Periodic shuffle: every in-group nonfailed member swaps one
             # random active slot with one random passive entry, at one
-            # control message each.
-            if round_index % self.shuffle_interval == 0:
+            # message each (booked, never lost or delayed).
+            if transport.round_index % self.shuffle_interval == 0:
                 participants = alive if present is None else alive & present
                 rep_s, mem_s = np.nonzero(participants)
                 if rep_s.size:
@@ -266,17 +233,12 @@ class HyParViewProtocol(Protocol):
                     swapped_out = active_view[rep_s, mem_s, slot].copy()
                     active_view[rep_s, mem_s, slot] = passive_view[rep_s, mem_s, pick]
                     passive_view[rep_s, mem_s, pick] = swapped_out
-                    messages += np.bincount(rep_s, minlength=repetitions)
-
-        if latency is not None:
-            # Pushes still in flight at the horizon arrive anyway.
-            cells, times, _ = latency.drain()
-            fresh_mask = alive_flat[cells] & ~has_flat[cells]
-            latency.record(cells[fresh_mask], times[fresh_mask])
-            has_flat[cells[fresh_mask]] = True
+                    transport.sent += np.bincount(rep_s, minlength=repetitions)
+        # Pushes still in flight at the horizon arrive anyway.
+        transport.drain(has_flat, alive_flat)
         self.last_batch_stats = {
             "view_staleness": float(np.mean(staleness)) if staleness else 0.0,
             "repairs": int(repairs),
             "repair_latency": (stale_slot_rounds / repairs) if repairs else 0.0,
         }
-        return has_message, messages, dropped, rounds
+        return has_message

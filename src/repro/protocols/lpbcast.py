@@ -21,10 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import UniformPartialView, sample_distinct
 from repro.simulation.network import NetworkModel
+from repro.simulation.transport import Transport
 from repro.utils.sampling import sample_distinct_rows, sample_distinct_rows_excluding
 from repro.utils.validation import check_integer
 
@@ -48,7 +47,7 @@ class LpbcastProtocol(Protocol):
         source: int,
         rng: np.random.Generator,
         network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int]:
+    ) -> tuple[np.ndarray, int, int, int]:
         view = UniformPartialView(n, min(self.view_size, n - 1), seed=rng)
         has_message = np.zeros(n, dtype=bool)
         has_message[source] = True
@@ -76,7 +75,7 @@ class LpbcastProtocol(Protocol):
                         newly.append(target)
             if newly:
                 has_message[np.array(newly, dtype=np.int64)] = True
-        return has_message, messages, rounds_executed
+        return has_message, messages, rounds_executed, 0
 
     def _disseminate_batch(
         self,
@@ -84,10 +83,8 @@ class LpbcastProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
+        transport: Transport,
+    ) -> np.ndarray:
         repetitions = int(alive.shape[0])
         size = min(self.view_size, n - 1)
         # Every replica gets its own fresh partial-view assignment, drawn for
@@ -105,36 +102,26 @@ class LpbcastProtocol(Protocol):
         has_message[:, source] = True
         has_flat = has_message.ravel()
         alive_flat = alive.ravel()
-        messages = np.zeros(repetitions, dtype=np.int64)
-        dropped = np.zeros(repetitions, dtype=np.int64)
-        rounds = np.zeros(repetitions, dtype=np.int64)
 
         # lpbcast is periodic: every replica gossips for the full round
         # budget (digest traffic continues even after everyone has the
         # message), so no convergence exit — only the holders-empty guard.
         active = np.ones(repetitions, dtype=bool)
-        round_index = 0
         for _ in range(self.rounds):
-            if latency is not None:
-                active = active | latency.pending_mask()
+            active = active | transport.pending_mask()
             if not active.any():
                 break
-            round_index += 1
-            present_flat = None
-            rounds += active
+            present = transport.next_round()
+            transport.rounds += active
             holders = has_message & alive & active[:, None]
-            if churn is not None:
+            if present is not None:
                 # Departed holders stop gossiping; the static views go stale,
-                # so sends into absent peers are wasted (filtered below) —
-                # exactly the degradation the peer-sampling protocol repairs.
-                present = churn.present_at(round_index)
-                present_flat = present.ravel()
+                # so sends into absent peers are wasted — exactly the
+                # degradation the peer-sampling protocol repairs.
                 holders &= present
             active &= holders.any(axis=1)
             rep_idx, mem_idx = np.nonzero(holders & active[:, None])
-            if rep_idx.size == 0 and latency is None:
-                continue
-            cells = np.empty(0, dtype=np.int64)
+            cells = rep_idx[:0]
             if rep_idx.size:
                 # Batched view sampling: per holder, `fanout` distinct slots
                 # of its own view row, gathered in one fancy-indexed pass.
@@ -145,37 +132,14 @@ class LpbcastProtocol(Protocol):
                     views[rep_idx, mem_idx], slot_idx.astype(np.int64, copy=False), axis=1
                 ).ravel()
                 target_replica = np.repeat(rep_idx, fanout)
-                messages += np.bincount(target_replica, minlength=repetitions)
-                cells = target_replica * n + targets.astype(np.int64, copy=False)
-                if network is not None:
-                    keep, dropped_round = network.draw_loss_batch(
-                        rng, target_replica, repetitions
-                    )
-                    dropped += dropped_round
-                    cells = cells[keep]
-                if present_flat is not None:
-                    cells = cells[present_flat[cells]]
-            if latency is not None:
-                # Per-push latency draws; slow pushes land (and are booked)
-                # in the round they mature, re-checked against that round's
-                # churn view.
-                cells, times, _ = latency.schedule(round_index - 1, cells, rng)
-                if present_flat is not None and cells.size:
-                    keep = present_flat[cells]
-                    cells = cells[keep]
-                    times = times[keep]
-                fresh_mask = alive_flat[cells] & ~has_flat[cells]
-                latency.record(cells[fresh_mask], times[fresh_mask])
-            fresh = cells[alive_flat[cells] & ~has_flat[cells]]
-            has_flat[fresh] = True
-            if latency is not None:
-                # A matured push can hand the message to a replica whose
-                # holders had all departed; the new holder re-activates it.
-                active = active | (np.bincount(fresh // n, minlength=repetitions) > 0)
-        if latency is not None:
-            # Pushes still in flight at the horizon arrive anyway.
-            cells, times, _ = latency.drain()
-            fresh_mask = alive_flat[cells] & ~has_flat[cells]
-            latency.record(cells[fresh_mask], times[fresh_mask])
-            has_flat[cells[fresh_mask]] = True
-        return has_message, messages, dropped, rounds
+                cells, _ = transport.send(
+                    target_replica * n + targets.astype(np.int64, copy=False), target_replica
+                )
+            cells, times, _ = transport.arrive(cells)
+            fresh = transport.deliver(cells, times, has_flat, alive_flat)
+            # A matured push can hand the message to a replica whose holders
+            # had all departed; the new holder re-activates it.
+            active = active | (np.bincount(fresh // n, minlength=repetitions) > 0)
+        # Pushes still in flight at the horizon arrive anyway.
+        transport.drain(has_flat, alive_flat)
+        return has_message

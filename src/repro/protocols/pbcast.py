@@ -22,11 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.membership import sample_distinct
 from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import sample_group_targets_batch
+from repro.simulation.transport import Transport
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = ["PbcastProtocol"]
@@ -103,150 +102,70 @@ class PbcastProtocol(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
+        transport: Transport,
+    ) -> np.ndarray:
         repetitions = int(alive.shape[0])
         has_message = np.zeros((repetitions, n), dtype=bool)
         has_message[:, source] = True
-        messages = np.zeros(repetitions, dtype=np.int64)
-        dropped = np.zeros(repetitions, dtype=np.int64)
-        rounds = np.zeros(repetitions, dtype=np.int64)
-        control = np.zeros(repetitions, dtype=np.int64)
-
-        # Phase 1: one (R, n) draw realises every replica's unreliable
-        # broadcast; only members that are up can buffer the message.
-        reached = rng.random((repetitions, n)) < self.broadcast_reach
-        reached[:, source] = True
-        messages += n - 1
-        if network is not None:
-            # Every replica's n-1 broadcast legs thinned in one flat draw.
-            keep, dropped_bcast = network.draw_loss_batch(
-                rng,
-                np.repeat(np.arange(repetitions, dtype=np.int64), n - 1),
-                repetitions,
-            )
-            dropped += dropped_bcast
-            keep_matrix = np.ones((repetitions, n), dtype=bool)
-            keep_matrix[:, np.arange(n) != source] = keep.reshape(repetitions, n - 1)
-            reached &= keep_matrix
-        if churn is not None:
-            # Members not yet (or no longer) in the group at broadcast time
-            # cannot buffer the message.
-            reached &= churn.present_at(0)
         has_flat = has_message.ravel()
         alive_flat = alive.ravel()
-        if latency is None:
-            has_message |= reached & alive
-        else:
-            # The broadcast departs at time 0; each surviving leg draws its
-            # own latency, so slow legs buffer during (not before) the
-            # anti-entropy phase.
-            arrived = reached.copy()
-            arrived[:, source] = False
-            due, due_times, _ = latency.schedule(
-                0, np.flatnonzero(arrived.ravel()), rng, channel="payload"
-            )
-            fresh = alive_flat[due] & ~has_flat[due]
-            latency.record(due[fresh], due_times[fresh])
-            has_flat[due[fresh]] = True
+
+        # Phase 1: one (R, n) draw realises every replica's unreliable
+        # broadcast.  All n-1 legs per replica are sent (and may be lost)
+        # before the anti-entropy rounds, departing at time 0; only members
+        # that are up can buffer the message.
+        reached = rng.random((repetitions, n)) < self.broadcast_reach
+        others = np.flatnonzero(np.arange(n) != source)
+        legs = (np.arange(repetitions, dtype=np.int64)[:, None] * n + others).ravel()
+        legs, _ = transport.send(legs, legs // n)
+        legs, times, _ = transport.arrive(legs[reached.ravel()[legs]])
+        transport.deliver(legs, times, has_flat, alive_flat)
 
         # Phase 2: anti-entropy rounds advance all replicas in lock-step;
         # a replica leaves the batch once a round produces no recovery
         # (converged), exactly the scalar engine's break — unless messages
         # are still in flight for it, which can seed later recoveries.
         active = np.ones(repetitions, dtype=bool)
-        round_index = 0
         for _ in range(self.rounds):
-            if latency is not None:
-                active = active | latency.pending_mask()
+            active = active | transport.pending_mask()
             if not active.any():
                 break
-            round_index += 1
-            present_flat = None
-            rounds += active
+            present = transport.next_round()
+            transport.rounds += active
             holders = has_message & alive & active[:, None]
-            if churn is not None:
-                # Departed holders stop gossiping digests; absent peers
-                # cannot receive them either (filtered below).
-                present = churn.present_at(round_index)
-                present_flat = present.ravel()
+            if present is not None:
+                # Departed holders stop gossiping digests.
                 holders &= present
             active &= holders.any(axis=1)
             rep_idx, mem_idx = np.nonzero(holders & active[:, None])
-            if rep_idx.size == 0 and latency is None:
-                continue
+            cells = rep_idx[:0]
             if rep_idx.size:
                 cells, target_replica = sample_group_targets_batch(
                     n, rep_idx, mem_idx, self.fanout, rng
                 )
-                digest_counts = np.bincount(target_replica, minlength=repetitions)
-                messages += digest_counts  # digests
-                control += digest_counts  # digests carry no payload
-                if network is not None:
-                    keep, dropped_round = network.draw_loss_batch(
-                        rng, target_replica, repetitions
-                    )
-                    dropped += dropped_round
-                    cells = cells[keep]
-                    target_replica = target_replica[keep]
-                if present_flat is not None:
-                    # Digests to absent peers are wasted sends (counted
-                    # above), not network drops.
-                    keep = present_flat[cells]
-                    cells = cells[keep]
-                    target_replica = target_replica[keep]
-            else:
-                cells = np.empty(0, dtype=np.int64)
-                target_replica = np.empty(0, dtype=np.int64)
-            digest_times = None
-            if latency is not None:
-                # Digests ride the latency plane too: a slow digest triggers
-                # its pull in the round it lands, not the round it was sent.
-                cells, digest_times, _ = latency.schedule(
-                    round_index - 1, cells, rng, channel="digest"
-                )
-                if present_flat is not None and cells.size:
-                    keep = present_flat[cells]
-                    cells = cells[keep]
-                    digest_times = digest_times[keep]
-                target_replica = cells // n
+                cells, _ = transport.send(cells, target_replica, control=True)
+            # Digests ride the latency plane too: a slow digest triggers its
+            # pull in the round it lands, not the round it was sent.
+            cells, digest_times, _ = transport.arrive(cells, channel="digest")
             # A digest landing on a nonfailed peer that misses the message
             # triggers one pull each (duplicates within the round included,
             # as in the scalar engine); the pull round trip is one lossy
             # message — only surviving pulls recover the payload, a pull
             # latency draw after the digest's arrival instant.
             pulling = alive_flat[cells] & ~has_flat[cells]
-            messages += np.bincount(target_replica[pulling], minlength=repetitions)
             pull_cells = cells[pulling]
-            pull_times = digest_times[pulling] if latency is not None else None
-            if network is not None:
-                keep, dropped_round = network.draw_loss_batch(
-                    rng, target_replica[pulling], repetitions
-                )
-                dropped += dropped_round
-                pull_cells = pull_cells[keep]
-                if latency is not None:
-                    pull_times = pull_times[keep]
-            if latency is not None:
-                latency.record(pull_cells, pull_times + latency.draw(rng, pull_cells.size))
-            recovered = np.bincount(pull_cells // n, minlength=repetitions) > 0
-            if latency is None:
-                active &= recovered
-            else:
-                # A matured digest can recover a member in a replica that had
-                # already converged; the recovery itself is what keeps (or
-                # makes) a replica active.  Without in-flight messages this
-                # reduces to the `active &= recovered` of the plane-off path.
-                active = recovered
+            pull_cells, pull_times = transport.send(
+                pull_cells,
+                pull_cells // n,
+                aux=None if digest_times is None else digest_times[pulling],
+            )
+            transport.record(pull_cells, transport.reply(pull_times))
+            # A matured digest can recover a member in a replica that had
+            # already converged; the recovery itself is what keeps (or
+            # makes) a replica active.
+            active = np.bincount(pull_cells // n, minlength=repetitions) > 0
             has_flat[pull_cells] = True
-        if latency is not None:
-            # Broadcast legs still in flight at the horizon arrive anyway —
-            # the round budget bounds gossiping, not physics.  In-flight
-            # digests die with the protocol (nobody answers them).
-            cells, times, _ = latency.drain(channel="payload")
-            fresh = alive_flat[cells] & ~has_flat[cells]
-            latency.record(cells[fresh], times[fresh])
-            has_flat[cells[fresh]] = True
-        return has_message, messages, dropped, rounds, control
+        # Broadcast legs still in flight at the horizon arrive anyway; in-flight
+        # digests die with the protocol (nobody answers them).
+        transport.drain(has_flat, alive_flat)
+        return has_message

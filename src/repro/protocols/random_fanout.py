@@ -8,13 +8,14 @@ protocol table.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.distributions import FanoutDistribution
 from repro.protocols.base import Protocol
-from repro.simulation.churn import ChurnScheduleBatch
 from repro.simulation.failures import FailurePattern
 from repro.simulation.gossip import simulate_gossip_batch, simulate_gossip_once
-from repro.simulation.latency import DeliveryTimePlane
 from repro.simulation.network import NetworkModel
+from repro.simulation.transport import Transport
 
 __all__ = ["RandomFanoutGossip"]
 
@@ -38,9 +39,7 @@ class RandomFanoutGossip(Protocol):
         source: int,
         rng: np.random.Generator,
         network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int]:
-        import numpy as np
-
+    ) -> tuple[np.ndarray, int, int, int]:
         pattern = FailurePattern(alive=alive, timing=np.full(n, None, dtype=object))
         execution = simulate_gossip_once(
             n,
@@ -51,7 +50,7 @@ class RandomFanoutGossip(Protocol):
             failure_pattern=pattern,
             network=network,
         )
-        return execution.delivered, execution.messages_sent, execution.rounds
+        return execution.delivered, execution.messages_sent, execution.rounds, 0
 
     def _disseminate_batch(
         self,
@@ -59,11 +58,9 @@ class RandomFanoutGossip(Protocol):
         alive: np.ndarray,
         source: int,
         rng: np.random.Generator,
-        network: NetworkModel | None = None,
-        churn: ChurnScheduleBatch | None = None,
-        latency: DeliveryTimePlane | None = None,
-    ) -> tuple[np.ndarray, ...]:
-        result = simulate_gossip_batch(
+        transport: Transport,
+    ) -> np.ndarray:
+        return simulate_gossip_batch(
             n,
             self.distribution,
             1.0,  # failures are supplied through the explicit masks
@@ -71,8 +68,5 @@ class RandomFanoutGossip(Protocol):
             source=source,
             seed=rng,
             alive=alive,
-            network=network,
-            churn=churn,
-            latency=latency,
-        )
-        return result.delivered, result.messages_sent, result.messages_dropped, result.rounds
+            transport=transport,
+        ).delivered

@@ -9,21 +9,19 @@ This module extends that treatment from the paper's algorithm to **every**
 * :func:`simulate_protocol_batch` is the dispatch entry point: it draws the
   failure patterns for all replicas in one vectorised pass (any
   :class:`~repro.simulation.failures.FailureModel` — uniform or targeted
-  crashes, pre- or mid-execution :class:`~repro.simulation.failures.CrashTiming`)
-  and hands the ``(R, n)`` alive masks to the protocol's
-  ``_disseminate_batch`` hook;
-* every bundled protocol implements that hook as an array program over the
-  shared :mod:`repro.utils.sampling` kernels (flooding = one overlay build +
+  crashes, pre- or mid-execution :class:`~repro.simulation.failures.CrashTiming`),
+  builds the batch's :class:`~repro.simulation.transport.Transport` from the
+  network, churn and latency planes, and hands both to the protocol's
+  ``_disseminate_batch(n, alive, source, rng, transport)`` hook, which
+  returns the ``(R, n)`` delivered masks;
+* every protocol implements that hook as an array program over the shared
+  :mod:`repro.utils.sampling` kernels (flooding = one overlay build +
   frontier waves in chunk-global node ids, pbcast/lpbcast = buffered rounds
   with batched view sampling, RDG = batched push masks + pull masks per
-  round), while the base class provides a scalar-replay fallback so any
-  external subclass works unbatched;
-* an optional :class:`~repro.simulation.network.NetworkModel` adds the
-  vectorised message-loss plane: each round's flat send list is thinned with
-  one independent Bernoulli draw
-  (:meth:`~repro.simulation.network.NetworkModel.draw_loss_batch`) and the
-  per-replica ``messages_sent`` / ``messages_dropped`` accounting surfaces on
-  :class:`BatchProtocolResult`;
+  round) and sends every message through the transport, which applies
+  loss, membership and latency under one leg law and keeps the per-replica
+  ``messages_sent`` / ``messages_dropped`` / control / round counters that
+  surface on :class:`BatchProtocolResult`;
 * the scalar :meth:`~repro.protocols.base.Protocol.run` stays the exact
   behavioural reference — ``tests/protocols/test_protocol_batch.py`` pins
   each batched protocol to its scalar pin through the shared statistical
@@ -36,7 +34,6 @@ and every protocol consumes the same target-drawing law.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,8 +45,9 @@ from repro.simulation.failures import (
     FailurePatternBatch,
     UniformCrashModel,
 )
-from repro.simulation.latency import DeliveryTimePlane, delivery_percentiles
+from repro.simulation.latency import delivery_percentiles
 from repro.simulation.network import NetworkModel
+from repro.simulation.transport import Transport
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.sampling import sample_distinct_rows_excluding
 from repro.utils.validation import check_integer, check_probability
@@ -103,14 +101,11 @@ class BatchProtocolResult:
     control_messages_sent:
         Optional ``(R,)`` per-replica counts of control messages (digests,
         IHAVE/IWANT, pull requests) — the subset of ``messages_sent`` that
-        carried no payload.  ``None`` for protocols that never distinguish
-        control traffic (treated as all-payload).
+        carried no payload.  ``None`` is treated as all-payload.
     delivery_times:
         Optional ``(R, n)`` float array of first-receipt times on the round
-        clock (``inf`` where undelivered).  Present when the batch ran with
-        a network model *and* the protocol's batched hook supports the
-        latency plane; ``None`` otherwise (notably for scalar-replay
-        fallbacks, which honestly report that no times were tracked).
+        clock (``inf`` where undelivered).  Present exactly when the batch
+        ran with a network model, which turns on the latency plane.
     """
 
     protocol: str
@@ -213,7 +208,7 @@ class BatchProtocolResult:
         if self.delivery_times is None:
             raise ValueError(
                 "no delivery times recorded: run the batch with a network model "
-                "and a latency-capable protocol hook"
+                "to enable the latency plane"
             )
         return delivery_percentiles(self.delivery_times, percentiles)
 
@@ -291,9 +286,8 @@ def simulate_protocol_batch(
     Parameters
     ----------
     protocol:
-        Any :class:`~repro.protocols.base.Protocol`.  The bundled protocols
-        run fully vectorised; subclasses without a batched hook fall back to
-        a scalar replay per replica (same results, no speedup).
+        Any :class:`~repro.protocols.base.Protocol`; its batched hook runs
+        all replicas as one array program.
     n, q, source:
         As for :meth:`~repro.protocols.base.Protocol.run`.
     repetitions:
@@ -326,12 +320,11 @@ def simulate_protocol_batch(
         ``churn=None`` path.
     round_period:
         Round duration ``T`` of the latency plane's discretised clock.
-        When a network is present and the protocol's batched hook accepts a
-        ``latency`` plane, every message additionally draws a delivery
-        latency from ``network.latency`` and the result carries
+        When a network is present every message additionally draws a
+        delivery latency from ``network.latency`` and the result carries
         ``delivery_times``; with the default constant unit latency the
         plane consumes no randomness and the batch stays bit-for-bit
-        identical to earlier engines.
+        identical to the latency-free path.
     """
     n = check_integer("n", n, minimum=2)
     q = check_probability("q", q)
@@ -343,71 +336,30 @@ def simulate_protocol_batch(
     alive = failure.alive.copy()
     alive[:, source] = True
 
-    schedule: ChurnScheduleBatch | None
     if isinstance(churn, ChurnModel):
         # Drawn after the failure plane so adding churn never perturbs the
         # failure draw of an otherwise-identical seeded run.
-        schedule = churn.draw_batch(n, repetitions, rng, source=source)
-    else:
-        schedule = churn
-    if schedule is not None:
-        if (schedule.repetitions, schedule.n) != (repetitions, n):
-            raise ValueError(
-                f"churn schedule is for shape {(schedule.repetitions, schedule.n)}, "
-                f"expected {(repetitions, n)}"
-            )
-        if schedule.is_trivial():
-            schedule = None  # static group: take the churn-free path verbatim
-
-    # Legacy hook contract: external subclasses may still implement the
-    # loss-free 4-argument signature, so the network, churn, and latency
-    # planes are threaded through only when actually requested.
-    kwargs = {}
-    plane = None
+        churn = churn.draw_batch(n, repetitions, rng, source=source)
     if network is not None:
         network.reset()
-        kwargs["network"] = network
-        hook_params = inspect.signature(type(protocol)._disseminate_batch).parameters
-        accepts_latency = "latency" in hook_params or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in hook_params.values()
-        )
-        if accepts_latency:
-            plane = DeliveryTimePlane(network, repetitions, n, round_period=round_period)
-            # The source holds the message from the start of every replica.
-            plane.record(
-                np.arange(repetitions, dtype=np.int64) * n + source,
-                np.zeros(repetitions),
-            )
-            kwargs["latency"] = plane
-    if schedule is not None:
-        kwargs["churn"] = schedule
-    out = protocol._disseminate_batch(n, alive, source, rng, **kwargs)
-    control = None
-    if len(out) == 5:  # trailing per-replica control-message counts
-        delivered, messages, dropped, rounds, control = out
-        control = np.asarray(control, dtype=np.int64)
-    elif len(out) == 4:
-        delivered, messages, dropped, rounds = out
-    else:  # (delivered, messages, rounds) from a loss-free legacy hook
-        delivered, messages, rounds = out
-        dropped = np.zeros(repetitions, dtype=np.int64)
-    rounds = np.asarray(rounds, dtype=np.int64)
-    delivered = np.asarray(delivered, dtype=bool)
+    transport = Transport(
+        n, repetitions, source, rng, network=network, churn=churn, round_period=round_period
+    )
+    delivered = protocol._disseminate_batch(n, alive, source, rng, transport)
     delivered &= alive  # failed members never count as delivered
     delivered[:, source] = True
-    present = schedule.present_at_rounds(rounds) if schedule is not None else None
-    delivery_times = plane.finalize(delivered) if plane is not None else None
+    schedule = transport.churn
     return BatchProtocolResult(
         protocol=protocol.name,
         n=n,
         source=source,
         alive=alive,
         delivered=delivered,
-        messages_sent=np.asarray(messages, dtype=np.int64),
-        messages_dropped=np.asarray(dropped, dtype=np.int64),
-        rounds=rounds,
+        messages_sent=transport.sent,
+        messages_dropped=transport.dropped,
+        rounds=transport.rounds,
         failure=failure,
-        present=present,
-        control_messages_sent=control,
-        delivery_times=delivery_times,
+        present=schedule.present_at_rounds(transport.rounds) if schedule is not None else None,
+        control_messages_sent=transport.control,
+        delivery_times=transport.finalize(delivered),
     )

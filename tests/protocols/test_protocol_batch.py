@@ -95,23 +95,6 @@ class TestBatchBasics:
                 float(result.reliability()[replica])
             )
 
-    def test_scalar_fallback_hook_for_unbatched_subclasses(self):
-        # A subclass without its own batched hook runs through the base
-        # class's scalar replay and still honours the result contract.
-        from repro.protocols.base import Protocol
-
-        class ScalarOnlyGossip(FixedFanoutGossip):
-            name = "scalar-only"
-            _disseminate_batch = Protocol._disseminate_batch
-
-        result = simulate_protocol_batch(ScalarOnlyGossip(3), 60, 0.9, repetitions=4, seed=7)
-        assert result.alive.shape == (4, 60)
-        assert not np.any(result.delivered & ~result.alive)
-        assert np.all(result.reliability() > 0.0)
-        batched = simulate_protocol_batch(FixedFanoutGossip(3), 60, 0.9, repetitions=4, seed=7)
-        # Same failure layer either way: the alive masks coincide per seed.
-        np.testing.assert_array_equal(result.alive, batched.alive)
-
     def test_invalid_arguments(self, protocol):
         with pytest.raises(ValueError):
             simulate_protocol_batch(protocol, 100, 0.5, repetitions=0)

@@ -25,7 +25,6 @@ from repro.protocols import (
     RandomFanoutGossip,
     RouteDrivenGossip,
 )
-from repro.protocols.base import Protocol
 from repro.simulation.churn import (
     DeterministicChurnModel,
     PoissonChurnModel,
@@ -151,33 +150,6 @@ class TestChurnedRuns:
         # Survivors are a subset of nonfailed members: crashes and churn stack.
         assert np.all(result.n_survivors() <= result.n_alive())
         assert result.delivered[~result.alive].sum() == 0
-
-
-class TestScalarReplayFallback:
-    class _ScalarOnly(Protocol):
-        name = "scalar-only"
-
-        def _disseminate(self, n, alive, source, rng, network=None):
-            delivered = np.zeros(n, dtype=bool)
-            delivered[source] = True
-            return delivered, 0, 1
-
-    def test_fallback_refuses_churn(self):
-        protocol = self._ScalarOnly()
-        with pytest.raises(NotImplementedError, match="churn-aware"):
-            simulate_protocol_batch(
-                protocol, 50, 0.9, repetitions=4, seed=3,
-                churn=DeterministicChurnModel(leaves=((1, 5),)),
-            )
-
-    def test_fallback_still_accepts_trivial_churn(self):
-        # A zero-rate model never reaches the hook, so scalar-only
-        # subclasses keep working for static-membership batches.
-        protocol = self._ScalarOnly()
-        result = simulate_protocol_batch(
-            protocol, 50, 0.9, repetitions=4, seed=3, churn=PoissonChurnModel()
-        )
-        assert result.present is None
 
 
 class TestHyParView:

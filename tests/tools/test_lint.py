@@ -182,41 +182,12 @@ class TestRL002HookSignatures:
         assert codes(violations) == {"RL002"}
         assert "default" in violations[0].message
 
-    def test_batch_hook_missing_latency_flagged(self, tmp_path: Path) -> None:
+    def test_plane_keyword_batch_hook_flagged(self, tmp_path: Path) -> None:
+        # The pre-transport contract: the planes as defaulted keywords.
         violations = lint_source(
             tmp_path,
             """
-            class BadProtocol:
-                def _disseminate_batch(self, n, alive, source, rng, network=None, churn=None):
-                    return alive, 0, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert codes(violations) == {"RL002"}
-        assert "latency" in violations[0].message
-
-    def test_batch_hook_plane_without_default_flagged(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class BadProtocol:
-                def _disseminate_batch(
-                    self, n, alive, source, rng, network, churn=None, latency=None
-                ):
-                    return alive, 0, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert codes(violations) == {"RL002"}
-
-    def test_full_signature_clean(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class GoodProtocol:
-                def _disseminate(self, n, alive, source, rng, network=None):
-                    return alive, 0, 0
-
+            class OldProtocol:
                 def _disseminate_batch(
                     self, n, alive, source, rng, network=None, churn=None, latency=None
                 ):
@@ -224,22 +195,67 @@ class TestRL002HookSignatures:
             """,
             select=["RL002"],
         )
+        assert codes(violations) == {"RL002"}
+        assert "transport" in violations[0].message
+
+    def test_batch_hook_without_transport_flagged(self, tmp_path: Path) -> None:
+        violations = lint_source(
+            tmp_path,
+            """
+            class BadProtocol:
+                def _disseminate_batch(self, n, alive, source, rng):
+                    return alive
+            """,
+            select=["RL002"],
+        )
+        assert codes(violations) == {"RL002"}
+
+    def test_defaulted_transport_flagged(self, tmp_path: Path) -> None:
+        violations = lint_source(
+            tmp_path,
+            """
+            class BadProtocol:
+                def _disseminate_batch(self, n, alive, source, rng, transport=None):
+                    return alive
+            """,
+            select=["RL002"],
+        )
+        assert codes(violations) == {"RL002"}
+
+    def test_transport_signature_clean(self, tmp_path: Path) -> None:
+        violations = lint_source(
+            tmp_path,
+            """
+            class GoodProtocol:
+                def _disseminate(self, n, alive, source, rng, network=None):
+                    return alive, 0, 0, 0
+
+                def _disseminate_batch(self, n, alive, source, rng, transport):
+                    return alive
+            """,
+            select=["RL002"],
+        )
         assert violations == []
 
-    def test_kwargs_catchall_clean(self, tmp_path: Path) -> None:
+    def test_kwargs_catchall(self, tmp_path: Path) -> None:
+        # A catch-all still lets the scalar hook receive `network`, but the
+        # batched hook must name its transport.
         violations = lint_source(
             tmp_path,
             """
             class ForwardingProtocol:
                 def _disseminate(self, n, alive, source, rng, **kwargs):
-                    return alive, 0, 0
+                    return alive, 0, 0, 0
 
                 def _disseminate_batch(self, n, alive, source, rng, **kwargs):
-                    return alive, 0, 0, 0
+                    return alive
             """,
             select=["RL002"],
         )
-        assert violations == []
+        assert codes(violations) == {"RL002"}
+        assert [v.message.split(" ")[0] for v in violations] == [
+            "ForwardingProtocol._disseminate_batch"
+        ]
 
     def test_pragma_opt_out(self, tmp_path: Path) -> None:
         violations = lint_source(

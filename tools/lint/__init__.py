@@ -4,10 +4,11 @@ Nine PRs of growth accreted load-bearing *conventions* that runtime tests can
 only catch after a wrong number ships: explicit ``numpy.random.Generator``
 threading (the bit-identical-at-any-pool-size guarantee), zero-intensity
 planes drawing **no** randomness (loss p=0 / churn rate 0 stay bit-identical
-to the plane-off paths), signature-compatible ``_disseminate``/
-``_disseminate_batch`` hooks (the dispatcher gates ``latency=``/``churn=`` on
-the hook's signature, so drift silently disables a plane), and frozen
-picklable sampler dataclasses (models cross ``utils.parallel`` pools).  This
+to the plane-off paths), one calling contract for the ``_disseminate``/
+``_disseminate_batch`` hooks (every batched hook receives the batch's
+``Transport``; a hook declaring its own plane keywords would receive none of
+them), and frozen picklable sampler dataclasses (models cross
+``utils.parallel`` pools).  This
 package encodes each of those contracts as a static rule over the stdlib
 ``ast`` module — no new runtime dependencies — so violations fail lint, not
 production numbers.
@@ -22,8 +23,9 @@ contract each protects):
 ========  =============================================================
  RL001    no global-RNG calls (``np.random.*`` module functions,
           stdlib ``random``, unseeded/time-seeded ``default_rng()``)
- RL002    protocol hook signatures accept the dispatcher's gated
-          ``network``/``churn``/``latency`` keywords (or opt out)
+ RL002    protocol hooks keep the engines' calling contract:
+          ``_disseminate`` accepts ``network``, ``_disseminate_batch``
+          takes exactly ``(n, alive, source, rng, transport)``
  RL003    latency/churn/failure models are ``@dataclass(frozen=True)``
           with no closure/lambda/Generator fields (pool-picklable)
  RL004    functions under a ``# repro: zero-draw(<name>)`` contract only
