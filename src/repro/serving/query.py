@@ -39,10 +39,16 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Any, Callable, Hashable
 
-from repro.serving.surface import GOSSIP_PROTOCOLS, ReliabilitySurface
+from repro.serving.surface import (
+    GOSSIP_PROTOCOLS,
+    ReliabilitySurface,
+    cell_distribution,
+    cell_protocol,
+)
 from repro.utils.validation import check_probability
 
 __all__ = [
@@ -426,6 +432,8 @@ def dimension_from_surface(
         smallest rounds — the classic lexicographic answer);
         ``"min_cost"`` picks the certified candidate with the smallest
         served payload messages per member (the cost-aware objective).
+        The live fallback only minimises the fanout, so a ``"min_cost"``
+        query that needs it raises :class:`ValueError`.
     allow_live_fallback:
         When False, an off-grid or uncertifiable query returns a
         ``feasible=False`` answer instead of simulating.
@@ -434,8 +442,11 @@ def dimension_from_surface(
         :func:`~repro.analysis.dimensioning.dimension_fanout`.
     live_kwargs:
         Extra keyword arguments forwarded to the live solver (``seed``,
-        ``protocol_factory``, replica budgets, ...).  ``seed`` defaults to
-        the surface's build seed, so a repeated query gets the same answer.
+        replica budgets, ...).  By default the live solve is the surface's
+        own problem: a ``gossip-<family>`` surface passes its fanout family
+        and spread conditioning, a protocol surface its protocol, with the
+        horizon solved up to the grid's largest.  ``seed`` defaults to the
+        surface's build seed, so a repeated query gets the same answer.
     """
     if objective not in ("min_fanout", "min_cost"):
         raise ValueError(f"objective must be 'min_fanout' or 'min_cost', got {objective!r}")
@@ -489,12 +500,25 @@ def dimension_from_surface(
             feasible=False,
         )
 
+    if objective == "min_cost":
+        # The live solver certifies the smallest fanout; it has no cost objective.
+        raise ValueError(
+            "objective 'min_cost' can only be answered from the surface grid, "
+            "not by the live fallback"
+        )
     if live_solver is None:
         from repro.analysis.dimensioning import dimension_fanout
 
         live_solver = dimension_fanout
+    # Solve the surface's own problem: its fanout family, or its protocol
+    # with the horizon solved up to the grid's largest one.
     if surface.protocol in GOSSIP_PROTOCOLS:
         live_kwargs.setdefault("conditional_on_spread", surface.conditional_on_spread)
+        live_kwargs.setdefault("distribution_factory", partial(cell_distribution, surface.protocol))
+    else:
+        live_kwargs.setdefault("protocol_factory", partial(cell_protocol, surface.protocol))
+        live_kwargs.setdefault("rounds", max(surface.grid.rounds))
+        live_kwargs.setdefault("solve_rounds", True)
     live_kwargs.setdefault("seed", surface.seed)
     live = live_solver(
         int(n),

@@ -49,7 +49,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -62,6 +62,9 @@ from repro.simulation.protocol_batch import simulate_protocol_batch
 from repro.utils.parallel import parallel_map
 from repro.utils.rng import spawn_seeds
 from repro.utils.validation import check_integer, check_probability
+
+if TYPE_CHECKING:
+    from repro.protocols.base import Protocol
 
 __all__ = [
     "SURFACE_FORMAT_VERSION",
@@ -331,7 +334,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _gossip_distribution(protocol: str, fanout: float) -> FanoutDistribution:
+def cell_distribution(protocol: str, fanout: float) -> FanoutDistribution:
     """Build the fanout distribution of a ``gossip-<family>`` surface cell."""
     family = protocol.removeprefix("gossip-")
     if family == "poisson":
@@ -339,6 +342,14 @@ def _gossip_distribution(protocol: str, fanout: float) -> FanoutDistribution:
     from repro.analysis.sweep import default_distribution_families
 
     return default_distribution_families(float(fanout))[family]
+
+
+def cell_protocol(protocol: str, fanout: int, rounds: int) -> Protocol:
+    """Build the protocol of a protocol-zoo surface cell from its id."""
+    from repro.experiments.protocol_comparison import protocol_zoo
+
+    zoo = protocol_zoo(fanout, rounds, include_peer_sampling=True, include_recovery=True)
+    return dict(zoo)[protocol]
 
 
 def _build_cell(args: tuple) -> tuple:
@@ -353,7 +364,7 @@ def _build_cell(args: tuple) -> tuple:
     if protocol in GOSSIP_PROTOCOLS:
         result = simulate_gossip_batch(
             n,
-            _gossip_distribution(protocol, fanout),
+            cell_distribution(protocol, fanout),
             q,
             repetitions=repetitions,
             seed=seed,
@@ -364,12 +375,13 @@ def _build_cell(args: tuple) -> tuple:
             reliability = np.where(result.spread_occurred(), reliability, 0.0)
         cost = float(np.mean(result.messages_sent / n))
     else:
-        from repro.experiments.protocol_comparison import protocol_zoo
-
-        zoo = dict(protocol_zoo(int(round(fanout)), int(rounds), include_peer_sampling=True,
-                                include_recovery=True))
         result = simulate_protocol_batch(
-            zoo[protocol], n, q, repetitions=repetitions, seed=seed, network=network
+            cell_protocol(protocol, int(round(fanout)), int(rounds)),
+            n,
+            q,
+            repetitions=repetitions,
+            seed=seed,
+            network=network,
         )
         reliability = result.reliability()
         cost = float(np.mean(result.payload_messages_per_member()))

@@ -12,6 +12,9 @@ import pytest
 import repro.serving.query
 import repro.serving.serve
 import repro.serving.surface
+from repro.analysis.dimensioning import dimension_fanout
+from repro.analysis.sweep import default_distribution_families
+from repro.protocols import PbcastProtocol
 from repro.serving.query import SurfaceQueryEngine
 from repro.serving.serve import handle_request, serve_loop
 from repro.serving.surface import SurfaceGrid, build_surface
@@ -115,6 +118,70 @@ class TestHandleRequest:
         )
         text = json.dumps(response, allow_nan=False)
         assert json.loads(text)["feasible"] is False
+
+
+class TestLiveFallbackSolvesTheSurfaceProblem:
+    """An off-grid live answer is the direct solve of the surface's own family or protocol."""
+
+    REQUEST = {"op": "dimension", "n": 200, "q": 0.95, "target": 0.8, "live_fallback": True}
+
+    @staticmethod
+    def _served(surface) -> dict:
+        response = handle_request(
+            SurfaceQueryEngine(surface), dict(TestLiveFallbackSolvesTheSurfaceProblem.REQUEST)
+        )
+        assert response["ok"] and response["source"] == "live"
+        return response
+
+    @staticmethod
+    def _direct(surface, **kwargs):
+        return dimension_fanout(
+            200, 0.95, 0.8, confidence=surface.confidence, seed=surface.seed, **kwargs
+        )
+
+    def test_gossip_family_surface(self):
+        surface = build_surface(
+            SurfaceGrid(ns=(200,), qs=(0.8, 0.9), losses=(0.0,), fanouts=(2.0, 4.0, 6.0)),
+            protocol="gossip-fixed",
+            repetitions=16,
+            seed=11,
+        )
+        direct = self._direct(
+            surface,
+            distribution_factory=lambda f: default_distribution_families(f)["fixed"],
+            conditional_on_spread=surface.conditional_on_spread,
+        )
+        served = self._served(surface)
+        assert (served["fanout"], served["rounds"]) == (direct.fanout, direct.rounds)
+        assert served["ci_low"] == direct.ci_low
+
+    def test_protocol_surface(self):
+        surface = build_surface(
+            SurfaceGrid(
+                ns=(200,), qs=(0.8, 0.9), losses=(0.0,), fanouts=(2.0, 4.0), rounds=(4, 8)
+            ),
+            protocol="pbcast",
+            repetitions=16,
+            seed=11,
+        )
+        direct = self._direct(
+            surface,
+            protocol_factory=lambda f, r: PbcastProtocol(fanout=f, rounds=r, broadcast_reach=0.8),
+            rounds=8,
+            solve_rounds=True,
+        )
+        served = self._served(surface)
+        assert direct.rounds is not None
+        assert (served["fanout"], served["rounds"]) == (direct.fanout, direct.rounds)
+        assert served["ci_low"] == direct.ci_low
+
+    def test_min_cost_is_refused_on_the_live_path(self, engine):
+        # The live solver minimises the fanout only; it must not answer a
+        # cost query as if it were a fanout query.
+        request = {"op": "dimension", "q": 0.5, "target": 0.3, "live_fallback": True}
+        response = handle_request(engine, {**request, "objective": "min_cost"})
+        assert not response["ok"]
+        assert "min_cost" in response["error"]
 
 
 class TestServeLoop:
