@@ -30,10 +30,11 @@ exchange.  The plane therefore keeps an independent bucket set per named
 channel (``"payload"``, ``"digest"``, ...), each optionally carrying an
 auxiliary integer array alongside the cell ids (e.g. the advertising
 sender of each digest).  Intra-round round trips (pull requests, IWANT
-retries) never enter a bucket: the hook draws their extra legs directly
-with :meth:`DeliveryTimePlane.draw` and records ``send_time + request_leg +
+retries) never enter a bucket: their extra legs are drawn directly with
+:meth:`DeliveryTimePlane.draw` and recorded as ``send_time + request_leg +
 response_leg``, preserving the engines' same-round recovery dynamics for
-*any* latency law.
+*any* latency law.  The batched engines reach the plane only through their
+:class:`~repro.simulation.transport.Transport`.
 
 Cells are flat ids ``replica * n + member`` — the same addressing every
 batched hook already uses.
@@ -77,7 +78,7 @@ class DeliveryTimePlane:
     """Per-member delivery clocks plus time-buckets for in-flight messages.
 
     One plane instance serves one batched execution of ``R`` replicas over
-    ``n`` members.  Hooks interact with it through four verbs:
+    ``n`` members.  Its batch's transport drives it through four verbs:
 
     ``schedule(round_index, cells, rng, channel=, aux=)``
         Draw one latency per cell (through
@@ -90,7 +91,7 @@ class DeliveryTimePlane:
 
     ``record(cells, times)``
         Fold arrival times into the per-member delivery clock
-        (element-wise minimum).  Hooks call this for *payload* arrivals
+        (element-wise minimum).  It is called for *payload* arrivals
         only, pre-filtered to not-yet-delivered members (``minimum.at`` is
         the slow path; fresh-only keeps it off the hot loop).
 
@@ -101,7 +102,7 @@ class DeliveryTimePlane:
     ``drain(channel=)``
         Pop every still-bucketed message of a channel.  At a protocol's
         round horizon, in-flight *payloads* still arrive (the budget bounds
-        sending, not physics) so hooks drain and record them; in-flight
+        sending, not physics) so they are drained and recorded; in-flight
         digests are simply dropped — the exchange they would have triggered
         is never sent.
 
@@ -224,10 +225,6 @@ class DeliveryTimePlane:
     def pending_mask(self) -> np.ndarray:
         """``(R,)`` bool: replicas with messages still in flight (any channel)."""
         return self._pending_per_replica > 0
-
-    def has_pending(self) -> bool:
-        """True while any message of any channel sits in a bucket."""
-        return bool(self._pending_per_replica.any())
 
     def drain(
         self, channel: str = "payload"

@@ -61,7 +61,7 @@ class TestDeliveryTimePlane:
         np.testing.assert_array_equal(due, cells)
         np.testing.assert_allclose(times, 4.0)  # send at 3*T, arrive one unit later
         assert aux is None
-        assert not plane.has_pending()
+        assert not plane.pending_mask().any()
 
     def test_constant_latency_consumes_no_randomness(self, rng):
         plane, _ = self.make_plane()
@@ -81,7 +81,7 @@ class TestDeliveryTimePlane:
         due, times, _ = plane.schedule(2, np.empty(0, dtype=np.int64), rng)
         np.testing.assert_array_equal(np.sort(due), [1, 5])
         np.testing.assert_allclose(times, 2.5)
-        assert not plane.has_pending()
+        assert not plane.pending_mask().any()
 
     def test_channels_are_independent_and_carry_aux(self, rng):
         plane, _ = self.make_plane(latency_constant(1.5))  # d=2: due next round
@@ -104,18 +104,18 @@ class TestDeliveryTimePlane:
         )
         np.testing.assert_array_equal(due, [5])
         np.testing.assert_array_equal(aux, [3])
-        assert not plane.has_pending()
+        assert not plane.pending_mask().any()
 
     def test_drain_pops_everything_left(self, rng):
         plane, _ = self.make_plane(latency_constant(3.5))
         plane.schedule(0, np.array([1], dtype=np.int64), rng)
         plane.schedule(1, np.array([6], dtype=np.int64), rng)
-        assert plane.has_pending()
+        assert plane.pending_mask().any()
         cells, times, aux = plane.drain()
         np.testing.assert_array_equal(cells, [1, 6])  # bucket-round order
         np.testing.assert_allclose(times, [3.5, 4.5])
         assert aux is None
-        assert not plane.has_pending()
+        assert not plane.pending_mask().any()
         cells, times, _ = plane.drain()
         assert cells.size == 0 and times.size == 0
 
