@@ -35,7 +35,10 @@ that discretises per-message delays onto the round clock, so both batched
 engines report per-member ``delivery_times`` and tail percentiles
 (``delivery_percentiles``) at batched speed — bit-identical to the
 latency-free engines whenever the sampler is a constant within one round
-period.
+period.  In both batched engines the three planes meet in one place: every
+send leg goes through the batch's :class:`~repro.simulation.transport.Transport`,
+which applies loss, membership and latency under one leg law and keeps the
+per-replica message counters.
 """
 
 from repro.simulation.engine import EventScheduler, Event
