@@ -15,7 +15,7 @@ dimensioning answers into a fast query service, in three layers:
   microseconds behind a deterministic LRU cache, keeping every answer
   certifiable (served ``ci_low`` = the minimum over the enclosing cell
   corners).  :func:`~repro.serving.query.dimension_from_surface` answers
-  the inverse question with a live-solver fallback off-grid, and
+  the inverse question with a bounded live-solver fallback off-grid, and
   :func:`~repro.serving.query.pareto_from_surface` serves the joint
   ``(fanout, rounds)`` frontier.
 * :mod:`repro.serving.serve` — **speak**: a JSON-lines request loop
@@ -27,6 +27,8 @@ served-vs-live agreement and speedup evidence.
 """
 
 from repro.serving.query import (
+    LIVE_FALLBACK_MAX_TARGET,
+    LiveFallbackRefused,
     LRUCache,
     ServedDimensioning,
     ServedReliability,
@@ -55,6 +57,8 @@ __all__ = [
     "build_surface",
     "load_surface",
     "SurfaceCoverageError",
+    "LiveFallbackRefused",
+    "LIVE_FALLBACK_MAX_TARGET",
     "ServedReliability",
     "ServedDimensioning",
     "LRUCache",
