@@ -49,7 +49,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
@@ -293,9 +293,7 @@ class ReliabilitySurface:
         mismatched or corrupted pair is refused at load time.  Returns the
         ``(npz_path, manifest_path)`` pair actually written.
         """
-        npz_path = Path(path)
-        if npz_path.suffix != ".npz":
-            npz_path = npz_path.with_suffix(".npz")
+        npz_path = _npz_path(path)
         manifest_path = _manifest_path(npz_path)
         npz_path.parent.mkdir(parents=True, exist_ok=True)
         with open(npz_path, "wb") as fh:
@@ -320,9 +318,37 @@ class ReliabilitySurface:
         return npz_path, manifest_path
 
 
+def _npz_path(path: str | Path) -> Path:
+    """Return the array file of an artifact path: the path, suffixed ``.npz``."""
+    npz_path = Path(path)
+    return npz_path if npz_path.suffix == ".npz" else npz_path.with_suffix(".npz")
+
+
 def _manifest_path(npz_path: Path) -> Path:
     """Return the manifest path paired with an ``.npz`` artifact path."""
     return npz_path.with_suffix("").with_suffix(".manifest.json")
+
+
+#: JSON type of each scalar manifest field, and its name in an error message.
+_MANIFEST_FIELDS: dict[str, tuple[type | tuple[type, ...], str]] = {
+    "protocol": (str, "a string"),
+    "seed": (int, "an integer"),
+    "repetitions": (int, "an integer"),
+    "confidence": ((int, float), "a number"),
+    "conditional_on_spread": (bool, "a JSON boolean"),
+}
+
+
+def _manifest_field(manifest: dict, name: str) -> Any:
+    """Read one scalar manifest field; refuse it when missing or wrong-typed."""
+    kinds, spelled = _MANIFEST_FIELDS[name]
+    if name not in manifest:
+        raise SurfaceValidationError(f"manifest missing field {name!r}")
+    value = manifest[name]
+    # A JSON boolean decodes to a bool, which Python also counts as an int.
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
+        raise SurfaceValidationError(f"manifest field {name!r} must be {spelled}, got {value!r}")
+    return value
 
 
 def _sha256(path: Path) -> str:
@@ -504,17 +530,21 @@ def load_surface(path: str | Path, *, allow_version_mismatch: bool = False) -> R
       (corruption, or a manifest paired with the wrong arrays);
     * seed recorded in the arrays different from the manifest seed;
     * axes recorded in the arrays different from the manifest grid;
+    * a manifest that is not a JSON object, or a scalar field that is
+      missing or of the wrong JSON type;
     * malformed cell bounds (checked by :class:`ReliabilitySurface`).
 
     Parameters
     ----------
     path:
-        The ``.npz`` artifact path (the manifest is looked up next to it).
+        The artifact path as given to :meth:`ReliabilitySurface.save`: the
+        ``.npz`` suffix is added when missing, and the manifest is looked up
+        next to the arrays.
     allow_version_mismatch:
         Serve a surface built by a different engine version anyway (for
         offline inspection, never for production serving).
     """
-    npz_path = Path(path)
+    npz_path = _npz_path(path)
     manifest_path = _manifest_path(npz_path)
     if not npz_path.exists():
         raise SurfaceValidationError(f"surface arrays not found: {npz_path}")
@@ -523,8 +553,10 @@ def load_surface(path: str | Path, *, allow_version_mismatch: bool = False) -> R
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
         raise SurfaceValidationError(f"unreadable manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise SurfaceValidationError(f"manifest {manifest_path} is not a JSON object")
 
     format_version = manifest.get("format_version")
     if format_version != SURFACE_FORMAT_VERSION:
@@ -565,24 +597,22 @@ def load_surface(path: str | Path, *, allow_version_mismatch: bool = False) -> R
                 "grid axes recorded in the arrays disagree with the manifest grid spec"
             )
         stored_seed = int(arrays["seed"])
-        if stored_seed != int(manifest.get("seed", -1)):
+        manifest_seed = _manifest_field(manifest, "seed")
+        if stored_seed != manifest_seed:
             raise SurfaceValidationError(
                 f"seed recorded in the arrays ({stored_seed}) disagrees with the "
-                f"manifest seed ({manifest.get('seed')!r})"
+                f"manifest seed ({manifest_seed!r})"
             )
-        try:
-            return ReliabilitySurface(
-                grid=grid,
-                protocol=str(manifest["protocol"]),
-                mean=arrays["mean"],
-                ci_low=arrays["ci_low"],
-                ci_high=arrays["ci_high"],
-                cost=arrays["cost"],
-                repetitions=int(manifest["repetitions"]),
-                confidence=float(manifest["confidence"]),
-                seed=stored_seed,
-                engine_version=str(engine_version),
-                conditional_on_spread=bool(manifest["conditional_on_spread"]),
-            )
-        except KeyError as exc:
-            raise SurfaceValidationError(f"manifest missing field {exc}") from exc
+        return ReliabilitySurface(
+            grid=grid,
+            protocol=_manifest_field(manifest, "protocol"),
+            mean=arrays["mean"],
+            ci_low=arrays["ci_low"],
+            ci_high=arrays["ci_high"],
+            cost=arrays["cost"],
+            repetitions=_manifest_field(manifest, "repetitions"),
+            confidence=float(_manifest_field(manifest, "confidence")),
+            seed=stored_seed,
+            engine_version=str(engine_version),
+            conditional_on_spread=_manifest_field(manifest, "conditional_on_spread"),
+        )
