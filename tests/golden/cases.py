@@ -19,6 +19,12 @@ the per-replica integer counters (``messages_sent``, ``messages_dropped``,
   (matured messages are re-checked against membership, and empty legs still
   advance a bursty channel).
 
+Each ``experiment/<id>`` case hashes the stdout of ``repro run <id> --scale
+small``, run in-process through :func:`repro.cli.main`: the printed table of
+every registered experiment whose table is deterministic.  Two registered
+experiments are left out, each for the reason given in
+:data:`UNDIGESTED_EXPERIMENTS`.
+
 The recorded digests live in ``digests.json`` next to this file, together
 with the numpy version they were taken under.  A change that is meant to
 alter a fixed-seed output regenerates them and says why::
@@ -28,7 +34,9 @@ alter a fixed-seed output regenerates them and says why::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 from collections.abc import Callable
 from pathlib import Path
@@ -36,6 +44,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.cli import main as cli_main
 from repro.core.distributions import PoissonFanout
 from repro.experiments.protocol_comparison import protocol_zoo
 from repro.simulation.churn import PoissonChurnModel
@@ -78,6 +87,28 @@ NETWORKS: dict[str, Callable[[], NetworkModel]] = {
 CHURN = PoissonChurnModel(leave_rate=0.02, join_rate=0.2, initially_absent=0.05)
 #: Planes that run with every plane on and also hash delivery times.
 COMBINED = ("all-iid", "all-ge")
+
+
+#: Registered experiments whose ``--scale small`` table is hashed.
+EXPERIMENTS = (
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "sec4_percolation_validation",
+    "protocol_comparison",
+    "loss_resilience",
+    "churn_resilience",
+    "recovery_resilience",
+    "latency_profile",
+)
+#: Registered experiments left out of the digests, and why.
+UNDIGESTED_EXPERIMENTS = {
+    "dimensioning": "takes about 28 s at small scale, too slow for tier-1",
+    "surface_dimensioning": "prints its build time and wall-clock speedups",
+}
 
 
 def _has_churn(plane: str) -> bool:
@@ -136,8 +167,18 @@ def _protocol_case(protocol: Any, plane: str) -> Callable[[], str]:
     return run
 
 
+def _experiment_case(experiment_id: str) -> Callable[[], str]:
+    def run() -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli_main(["run", experiment_id, "--scale", "small"])
+        return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+    return run
+
+
 def cases() -> dict[str, Callable[[], str]]:
-    """Every golden case by id (``<engine or protocol id>/<plane>``)."""
+    """Every golden case by id (``<engine or protocol id>/<plane>``, ``experiment/<id>``)."""
     out = {
         f"gossip/{plane}": _gossip_case(plane)
         for plane in ("plain", "iid-loss", "latency", "churn", *COMBINED)
@@ -146,6 +187,8 @@ def cases() -> dict[str, Callable[[], str]]:
     for protocol_id, protocol in zoo:
         for plane in ("plain", "iid-loss", "gilbert-elliott", "churn", "latency", *COMBINED):
             out[f"{protocol_id}/{plane}"] = _protocol_case(protocol, plane)
+    for experiment_id in EXPERIMENTS:
+        out[f"experiment/{experiment_id}"] = _experiment_case(experiment_id)
     return out
 
 

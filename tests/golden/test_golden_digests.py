@@ -11,7 +11,14 @@ import json
 import numpy as np
 import pytest
 
-from tests.golden.cases import DIGESTS_PATH, REGENERATE, cases
+from repro.experiments.registry import list_experiments
+from tests.golden.cases import (
+    DIGESTS_PATH,
+    EXPERIMENTS,
+    REGENERATE,
+    UNDIGESTED_EXPERIMENTS,
+    cases,
+)
 
 RECORD = json.loads(DIGESTS_PATH.read_text())
 CASES = cases()
@@ -23,6 +30,13 @@ def _numpy_minor(version: str) -> tuple[str, ...]:
 
 def test_case_set_matches_record():
     assert sorted(CASES) == sorted(RECORD["digests"])
+
+
+def test_every_registered_experiment_is_digested_or_excused():
+    # A new experiment fails here until it gets a case or a stated reason.
+    registered = sorted(spec.experiment_id for spec in list_experiments())
+    assert not set(EXPERIMENTS) & set(UNDIGESTED_EXPERIMENTS)
+    assert registered == sorted([*EXPERIMENTS, *UNDIGESTED_EXPERIMENTS])
 
 
 def test_record_names_its_provenance():
