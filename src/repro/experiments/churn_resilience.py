@@ -32,7 +32,8 @@ the self-repairing view degrades no faster than the frozen one.
 
 At ``churn_rate = 0`` the churn model draws no randomness, so every cell is
 bit-identical to the static path (the same discipline the loss plane
-established); the test suite pins exactly that for all protocols.
+established); the test suite pins exactly that for all protocols.  The
+cells run through :func:`repro.experiments.grid.run_grid`.
 """
 
 from __future__ import annotations
@@ -40,14 +41,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from repro.experiments.grid import Cell, GridResult, mean_std, run_grid
 from repro.experiments.protocol_comparison import protocol_zoo
 from repro.simulation.churn import PoissonChurnModel
-from repro.simulation.protocol_batch import simulate_protocol_batch
-from repro.utils.parallel import parallel_map
-from repro.utils.rng import spawn_seeds
-from repro.utils.tables import format_table
+from repro.simulation.protocol_batch import BatchProtocolResult
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
@@ -63,10 +60,6 @@ PAPER_REFERENCE = (
     "under dynamic membership (churn_rate x q grid, batched churn plane, "
     "HyParView-style peer sampling vs frozen partial views)"
 )
-
-#: Replicas per worker task when the sweep fans out over processes (same
-#: convention as ``protocol_comparison`` so fixed seeds reproduce anywhere).
-_CHUNK_REPETITIONS = 8
 
 #: Active-view size of the peer-sampling row and view size of its frozen
 #: static anchor (``lpbcast-frozen``) — matched so the comparison isolates
@@ -102,7 +95,8 @@ class ChurnResilienceConfig:
     seed:
         Base seed; every cell derives an independent stream.
     processes:
-        Worker processes; 1 keeps execution serial and deterministic.
+        Worker processes (``None``: all cores but one).  Each cell runs as
+        one seeded batch, so the pool size never changes the numbers.
     """
 
     n: int = 1000
@@ -191,77 +185,31 @@ class ChurnPoint:
 
 
 @dataclass(frozen=True)
-class ChurnResilienceResult:
+class ChurnResilienceResult(GridResult[ChurnResilienceConfig, ChurnPoint]):
     """Result of the churn-resilience sweep."""
 
-    config: ChurnResilienceConfig
-    points: tuple
-
-    def protocols(self) -> list[str]:
-        """Return the protocol ids in run order (deduplicated)."""
-        seen: dict[str, None] = {}
-        for p in self.points:
-            seen.setdefault(p.protocol, None)
-        return list(seen)
+    COLUMNS = (
+        ("protocol", "protocol"),
+        ("q", "q"),
+        ("churn", "churn_rate"),
+        ("reps", "repetitions"),
+        ("reliability", "reliability"),
+        ("std", "reliability_std"),
+        ("survivors", "survivor_fraction"),
+        ("msgs/member", "messages_per_member"),
+        ("atomic", "atomic_rate"),
+        ("staleness", "view_staleness"),
+        ("repairs", "repairs"),
+        ("repair lat", "repair_latency"),
+    )
 
     def series_for(self, protocol: str, q: float) -> list[ChurnPoint]:
         """Return one ``(protocol, q)`` churn series, ordered by rate."""
-        return sorted(
-            (
-                p
-                for p in self.points
-                if p.protocol == protocol and abs(p.q - q) < 1e-12
-            ),
-            key=lambda p: p.churn_rate,
-        )
+        return self._series("churn_rate", protocol=protocol, q=q)
 
     def point(self, protocol: str, q: float, churn_rate: float) -> ChurnPoint:
         """Return one cell; raise ``KeyError`` if absent."""
-        for p in self.points:
-            if (
-                p.protocol == protocol
-                and abs(p.q - q) < 1e-12
-                and abs(p.churn_rate - churn_rate) < 1e-12
-            ):
-                return p
-        raise KeyError(
-            f"no point for protocol={protocol!r}, q={q!r}, churn_rate={churn_rate!r}"
-        )
-
-    def to_table(self, *, precision: int = 4) -> str:
-        """Render the full grid as an aligned text table."""
-        headers = [
-            "protocol",
-            "q",
-            "churn",
-            "reps",
-            "reliability",
-            "std",
-            "survivors",
-            "msgs/member",
-            "atomic",
-            "staleness",
-            "repairs",
-            "repair lat",
-        ]
-        rows = [
-            [
-                p.protocol,
-                p.q,
-                p.churn_rate,
-                p.repetitions,
-                p.reliability,
-                p.reliability_std,
-                p.survivor_fraction,
-                p.messages_per_member,
-                p.atomic_rate,
-                p.view_staleness,
-                p.repairs,
-                p.repair_latency,
-            ]
-            for p in self.points
-        ]
-        return format_table(headers, rows, precision=precision)
+        return self._point(protocol=protocol, q=q, churn_rate=churn_rate)
 
     def check_shape(self, *, tolerance: float = 0.05) -> list[str]:
         """Check the qualitative churn-resilience claims.
@@ -342,32 +290,31 @@ class ChurnResilienceResult:
         return problems
 
 
-def _run_cell_batch(args: tuple) -> tuple:
-    """Process-pool worker: one chunk of replicas through the churn-aware engine.
-
-    The :class:`~repro.simulation.churn.PoissonChurnModel` is built inside
-    the worker from plain floats, mirroring the loss sweep's convention;
-    peer-sampling service stats are read back off the protocol instance
-    (each worker owns its own unpickled copy).
-    """
-    protocol, n, q, rate, initially_absent, seed, repetitions = args
-    if rate == 0.0:
-        model = PoissonChurnModel()
-    else:
-        model = PoissonChurnModel(
-            leave_rate=rate, join_rate=rate, initially_absent=initially_absent
-        )
-    result = simulate_protocol_batch(
-        protocol, n, q, repetitions=repetitions, seed=seed, churn=model
-    )
+def _point(config: ChurnResilienceConfig, cell: Cell, result: BatchProtocolResult) -> ChurnPoint:
+    """Reduce one cell, with the peer-sampling service's stats where it has them."""
     reliability = result.reliability_among_survivors()
-    stats = getattr(protocol, "last_batch_stats", None)
-    return (
-        reliability.tolist(),
-        result.survivor_fraction().tolist(),
-        result.messages_per_member().tolist(),
-        (reliability >= 1.0 - 1e-12).tolist(),
-        stats,
+    mean, std = mean_std(reliability)
+    stats = getattr(cell.protocol, "last_batch_stats", None)
+    staleness = repair_latency = float("nan")
+    repairs = 0
+    if stats is not None:
+        staleness = float(stats["view_staleness"])
+        repairs = int(stats["repairs"])
+        if repairs:
+            repair_latency = float(stats["repair_latency"])
+    return ChurnPoint(
+        protocol=cell.protocol_id,
+        q=cell.q,
+        churn_rate=cell.key[0],
+        repetitions=config.repetitions,
+        reliability=mean,
+        reliability_std=std,
+        survivor_fraction=float(result.survivor_fraction().mean()),
+        messages_per_member=float(result.messages_per_member().mean()),
+        atomic_rate=float((reliability >= 1.0 - 1e-12).mean()),
+        view_staleness=staleness,
+        repairs=repairs,
+        repair_latency=repair_latency,
     )
 
 
@@ -376,59 +323,10 @@ def run_churn_resilience(
 ) -> ChurnResilienceResult:
     """Run the sweep over the full ``(protocol, q, churn_rate)`` grid."""
     config = config or ChurnResilienceConfig()
-    serial = config.processes is not None and config.processes <= 1
-    n_chunks = 1 if serial else max(1, -(-config.repetitions // _CHUNK_REPETITIONS))
-    chunk_sizes = [len(c) for c in np.array_split(np.arange(config.repetitions), n_chunks)]
-
-    points: list[ChurnPoint] = []
-    protocols = config.protocols()
-    n_cells = len(protocols) * len(config.qs) * len(config.churn_rates)
-    cell_seeds = iter(spawn_seeds(n_cells, config.seed))
-    for protocol_id, protocol in protocols:
-        for q in config.qs:
-            for rate in config.churn_rates:
-                seeds = spawn_seeds(n_chunks, next(cell_seeds))
-                work = [
-                    (protocol, config.n, q, rate, config.initially_absent, seed, size)
-                    for seed, size in zip(seeds, chunk_sizes, strict=True)
-                    if size > 0
-                ]
-                chunks = parallel_map(
-                    _run_cell_batch, work, processes=config.processes, serial_threshold=1
-                )
-                reliability = np.concatenate([np.asarray(c[0], dtype=float) for c in chunks])
-                survivors = np.concatenate([np.asarray(c[1], dtype=float) for c in chunks])
-                messages = np.concatenate([np.asarray(c[2], dtype=float) for c in chunks])
-                atomic = np.concatenate([np.asarray(c[3], dtype=bool) for c in chunks])
-                stats = [c[4] for c in chunks if c[4] is not None]
-                staleness = float("nan")
-                repairs = 0
-                repair_latency = float("nan")
-                if stats:
-                    staleness = float(np.mean([s["view_staleness"] for s in stats]))
-                    repairs = int(sum(s["repairs"] for s in stats))
-                    if repairs:
-                        # Repair latencies are averaged weighted by how many
-                        # repairs each chunk actually performed.
-                        repair_latency = float(
-                            sum(s["repair_latency"] * s["repairs"] for s in stats) / repairs
-                        )
-                points.append(
-                    ChurnPoint(
-                        protocol=protocol_id,
-                        q=float(q),
-                        churn_rate=float(rate),
-                        repetitions=config.repetitions,
-                        reliability=float(reliability.mean()),
-                        reliability_std=(
-                            float(reliability.std(ddof=1)) if reliability.size > 1 else 0.0
-                        ),
-                        survivor_fraction=float(survivors.mean()),
-                        messages_per_member=float(messages.mean()),
-                        atomic_rate=float(atomic.mean()),
-                        view_staleness=staleness,
-                        repairs=repairs,
-                        repair_latency=repair_latency,
-                    )
-                )
-    return ChurnResilienceResult(config=config, points=tuple(points))
+    cells = [
+        Cell(protocol_id, protocol, float(q), key=(float(rate),), churn=config.churn_model(rate))
+        for protocol_id, protocol in config.protocols()
+        for q in config.qs
+        for rate in config.churn_rates
+    ]
+    return ChurnResilienceResult(config, run_grid(config, cells, _point))

@@ -24,16 +24,19 @@ Expected shape (:meth:`LatencyProfileResult.check_shape`): percentiles are
 ordered within every cell; under the one-round constant law every delivery
 lands exactly on the round grid (the plane is the round clock); the exponential
 column's tail dominates the constant column's at equal mean (per-hop
-variance compounds); and loss never improves reliability.
+variance compounds); and loss never improves reliability.  The cells run
+through :func:`repro.experiments.grid.run_grid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from operator import attrgetter, methodcaller
+from typing import Any, Callable
 
 import numpy as np
 
+from repro.experiments.grid import Cell, GridResult, mean_std, run_grid
 from repro.experiments.protocol_comparison import protocol_zoo
 from repro.simulation.latency import percentile_label
 from repro.simulation.network import (
@@ -42,10 +45,7 @@ from repro.simulation.network import (
     latency_exponential,
     latency_uniform,
 )
-from repro.simulation.protocol_batch import simulate_protocol_batch
-from repro.utils.parallel import parallel_map
-from repro.utils.rng import spawn_seeds
-from repro.utils.tables import format_table
+from repro.simulation.protocol_batch import BatchProtocolResult
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
@@ -61,10 +61,6 @@ PAPER_REFERENCE = (
     "protocol zoo + recovery protocols under constant/uniform/exponential "
     "per-message latency x i.i.d. loss, batched latency plane"
 )
-
-#: Replicas per worker task when the sweep fans out over processes (same
-#: convention as ``protocol_comparison`` so fixed seeds reproduce anywhere).
-_CHUNK_REPETITIONS = 8
 
 
 def _build_latency(spec: tuple) -> Callable[[np.random.Generator], float]:
@@ -116,7 +112,8 @@ class LatencyProfileConfig:
     seed:
         Base seed; every cell derives an independent stream.
     processes:
-        Worker processes; 1 keeps execution serial and deterministic.
+        Worker processes (``None``: all cores but one).  Each cell runs as
+        one seeded batch, so the pool size never changes the numbers.
     """
 
     n: int = 1000
@@ -209,55 +206,31 @@ class LatencyPoint:
 
 
 @dataclass(frozen=True)
-class LatencyProfileResult:
+class LatencyProfileResult(GridResult[LatencyProfileConfig, LatencyPoint]):
     """Result of the latency-profile sweep."""
 
-    config: LatencyProfileConfig
-    points: tuple
-
-    def protocols(self) -> list[str]:
-        """Return the protocol ids in run order (deduplicated)."""
-        seen: dict[str, None] = {}
-        for p in self.points:
-            seen.setdefault(p.protocol, None)
-        return list(seen)
+    COLUMNS = (
+        ("protocol", "protocol"),
+        ("latency", "latency"),
+        ("loss", "loss_probability"),
+        ("reps", "repetitions"),
+        ("reliability", "reliability"),
+        ("std", "reliability_std"),
+    )
 
     def point(self, protocol: str, latency: str, loss_probability: float) -> LatencyPoint:
         """Return one cell; raise ``KeyError`` if absent."""
-        for p in self.points:
-            if (
-                p.protocol == protocol
-                and p.latency == latency
-                and abs(p.loss_probability - loss_probability) < 1e-12
-            ):
-                return p
-        raise KeyError(
-            f"no point for protocol={protocol!r}, latency={latency!r}, "
-            f"loss_probability={loss_probability!r}"
-        )
+        return self._point(protocol=protocol, latency=latency, loss_probability=loss_probability)
 
-    def to_table(self, *, precision: int = 4) -> str:
-        """Render the full grid as an aligned text table."""
-        labels = [percentile_label(p) for p in self.config.percentiles]
-        headers = ["protocol", "latency", "loss", "reps", "reliability", "std"] + labels + [
-            "msgs/member"
+    def _columns(self) -> list[tuple[str, Callable[[LatencyPoint], Any]]]:
+        percentiles = [
+            (percentile_label(p), methodcaller("percentile", p)) for p in self.config.percentiles
         ]
-        rows = []
-        for p in self.points:
-            values = dict(p.delivery_percentiles)
-            rows.append(
-                [
-                    p.protocol,
-                    p.latency,
-                    p.loss_probability,
-                    p.repetitions,
-                    p.reliability,
-                    p.reliability_std,
-                ]
-                + [values[label] for label in labels]
-                + [p.messages_per_member]
-            )
-        return format_table(headers, rows, precision=precision)
+        return [
+            *super()._columns(),
+            *percentiles,
+            ("msgs/member", attrgetter("messages_per_member")),
+        ]
 
     def check_shape(self, *, tolerance: float = 0.05) -> list[str]:
         """Check the qualitative latency-profile claims.
@@ -314,10 +287,7 @@ class LatencyProfileResult:
         for protocol in self.protocols():
             for spec in self.config.latencies:
                 label = _latency_label(spec)
-                series = sorted(
-                    (p for p in self.points if p.protocol == protocol and p.latency == label),
-                    key=lambda p: p.loss_probability,
-                )
+                series = self._series("loss_probability", protocol=protocol, latency=label)
                 for lo, hi in zip(series, series[1:], strict=False):
                     if hi.reliability > lo.reliability + 2 * tolerance:
                         problems.append(
@@ -328,99 +298,53 @@ class LatencyProfileResult:
         return problems
 
 
-def _run_cell(args: tuple) -> tuple:
-    """Process-pool worker: one chunk of replicas through the timed engine.
-
-    The :class:`NetworkModel` crosses the process boundary whole — the
-    latency samplers are frozen dataclasses, so the model pickles.
-    Returns the finite (delivered) delivery times raw; the parent pools
-    them across chunks before taking percentiles.
-    """
-    protocol, n, q, network, seed, repetitions, round_period = args
-    result = simulate_protocol_batch(
-        protocol,
-        n,
-        q,
-        repetitions=repetitions,
-        seed=seed,
-        network=network,
-        round_period=round_period,
-    )
+def _point(config: LatencyProfileConfig, cell: Cell, result: BatchProtocolResult) -> LatencyPoint:
+    """Reduce one cell: percentiles pool the delivery times of every replica."""
+    spec, loss = cell.key
     if result.delivery_times is None:
         raise RuntimeError(
-            f"protocol {protocol.name!r} reported no delivery times — its "
+            f"protocol {cell.protocol.name!r} reported no delivery times — its "
             "batched hook does not accept the latency plane"
         )
-    finite = result.delivery_times[np.isfinite(result.delivery_times)]
-    return (
-        result.reliability().tolist(),
-        result.messages_per_member().tolist(),
-        finite.tolist(),
+    times = result.delivery_times[np.isfinite(result.delivery_times)]
+    round_aligned: bool | None = None
+    if spec[0] == "constant" and abs(spec[1] - config.round_period) < 1e-12:
+        grid = times / config.round_period
+        round_aligned = bool(times.size == 0 or np.allclose(grid, np.round(grid), atol=1e-9))
+    reliability, reliability_std = mean_std(result.reliability())
+    return LatencyPoint(
+        protocol=cell.protocol_id,
+        latency=_latency_label(spec),
+        loss_probability=loss,
+        repetitions=config.repetitions,
+        reliability=reliability,
+        reliability_std=reliability_std,
+        messages_per_member=float(result.messages_per_member().mean()),
+        delivery_percentiles=tuple(
+            (
+                percentile_label(p),
+                float(np.percentile(times, p)) if times.size else float("nan"),
+            )
+            for p in config.percentiles
+        ),
+        round_aligned=round_aligned,
     )
 
 
 def run_latency_profile(config: LatencyProfileConfig | None = None) -> LatencyProfileResult:
     """Run the sweep over the full ``(protocol, latency, loss)`` grid."""
     config = config or LatencyProfileConfig()
-    serial = config.processes is not None and config.processes <= 1
-    n_chunks = 1 if serial else max(1, -(-config.repetitions // _CHUNK_REPETITIONS))
-    chunk_sizes = [len(c) for c in np.array_split(np.arange(config.repetitions), n_chunks)]
-
-    points: list[LatencyPoint] = []
-    protocols = config.protocols()
-    n_cells = len(protocols) * len(config.latencies) * len(config.loss_probabilities)
-    cell_seeds = iter(spawn_seeds(n_cells, config.seed))
-    for protocol_id, protocol in protocols:
-        for spec in config.latencies:
-            for loss in config.loss_probabilities:
-                seeds = spawn_seeds(n_chunks, next(cell_seeds))
-                work = [
-                    (
-                        protocol,
-                        config.n,
-                        config.q,
-                        NetworkModel(
-                            latency=_build_latency(spec), loss_probability=loss
-                        ),
-                        seed,
-                        size,
-                        config.round_period,
-                    )
-                    for seed, size in zip(seeds, chunk_sizes, strict=True)
-                    if size > 0
-                ]
-                chunks = parallel_map(
-                    _run_cell, work, processes=config.processes, serial_threshold=1
-                )
-                reliability = np.concatenate([np.asarray(c[0], dtype=float) for c in chunks])
-                messages = np.concatenate([np.asarray(c[1], dtype=float) for c in chunks])
-                times = np.concatenate([np.asarray(c[2], dtype=float) for c in chunks])
-                percentile_pairs = tuple(
-                    (
-                        percentile_label(p),
-                        float(np.percentile(times, p)) if times.size else float("nan"),
-                    )
-                    for p in config.percentiles
-                )
-                round_aligned = None
-                if spec[0] == "constant" and abs(spec[1] - config.round_period) < 1e-12:
-                    grid = times / config.round_period
-                    round_aligned = bool(
-                        times.size == 0 or np.allclose(grid, np.round(grid), atol=1e-9)
-                    )
-                points.append(
-                    LatencyPoint(
-                        protocol=protocol_id,
-                        latency=_latency_label(spec),
-                        loss_probability=float(loss),
-                        repetitions=config.repetitions,
-                        reliability=float(reliability.mean()),
-                        reliability_std=(
-                            float(reliability.std(ddof=1)) if reliability.size > 1 else 0.0
-                        ),
-                        messages_per_member=float(messages.mean()),
-                        delivery_percentiles=percentile_pairs,
-                        round_aligned=round_aligned,
-                    )
-                )
-    return LatencyProfileResult(config=config, points=tuple(points))
+    cells = [
+        Cell(
+            protocol_id,
+            protocol,
+            float(config.q),
+            key=(spec, float(loss)),
+            network=NetworkModel(latency=_build_latency(spec), loss_probability=loss),
+            round_period=config.round_period,
+        )
+        for protocol_id, protocol in config.protocols()
+        for spec in config.latencies
+        for loss in config.loss_probabilities
+    ]
+    return LatencyProfileResult(config, run_grid(config, cells, _point))

@@ -24,28 +24,19 @@ link redundancy, pbcast's anti-entropy digests, RDG's NACK pulls) buy back
 reliability at extra message cost.  At ``loss = 0`` every cell must be
 statistically indistinguishable from the loss-free ``protocol_comparison``
 numbers — the CI smoke run and the test suite pin exactly that through the
-shared statistical harness.
-
-Replicas are fanned out in chunked batches over
-:func:`repro.utils.parallel.parallel_map` exactly like
-``protocol_comparison``; ``engine="scalar"`` replays the per-execution
-reference protocols with the same :class:`NetworkModel` loss law (slow —
-kept for head-to-head benchmarks and equivalence pinning).
+shared statistical harness.  The cells run through
+:func:`repro.experiments.grid.run_grid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from repro.experiments.grid import Cell, GridResult, drop_rate, mean_std, run_grid
 from repro.experiments.protocol_comparison import protocol_zoo
 from repro.simulation.network import NetworkModel
-from repro.simulation.protocol_batch import simulate_protocol_batch
-from repro.utils.parallel import parallel_map
-from repro.utils.rng import as_generator, spawn_seeds
-from repro.utils.tables import format_table
-from repro.utils.validation import check_choice, check_integer, check_probability
+from repro.simulation.protocol_batch import BatchProtocolResult
+from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
     "LossResilienceConfig",
@@ -59,10 +50,6 @@ PAPER_REFERENCE = (
     "Sec. 3 model assumption lifted — protocol-zoo reliability under independent "
     "per-message loss (loss_probability x q grid, batched lossy engine)"
 )
-
-#: Replicas per worker task when the sweep fans out over processes (same
-#: convention as ``protocol_comparison`` so fixed seeds reproduce anywhere).
-_CHUNK_REPETITIONS = 8
 
 
 @dataclass(frozen=True)
@@ -86,10 +73,9 @@ class LossResilienceConfig:
         Independent executions per ``(protocol, q, loss)`` cell.
     seed:
         Base seed; every cell derives an independent stream.
-    engine:
-        ``"batch"`` (default) or ``"scalar"`` (per-execution reference).
     processes:
-        Worker processes; 1 keeps execution serial and deterministic.
+        Worker processes (``None``: all cores but one).  Each cell runs as
+        one seeded batch, so the pool size never changes the numbers.
     """
 
     n: int = 1000
@@ -99,7 +85,6 @@ class LossResilienceConfig:
     rounds: int = 8
     repetitions: int = 40
     seed: int = 20082009
-    engine: str = "batch"
     processes: int | None = 1
 
     def __post_init__(self) -> None:
@@ -115,7 +100,6 @@ class LossResilienceConfig:
         check_integer("mean_fanout", self.mean_fanout, minimum=1)
         check_integer("rounds", self.rounds, minimum=1)
         check_integer("repetitions", self.repetitions, minimum=1)
-        check_choice("engine", self.engine, ("batch", "scalar"))
 
     def protocols(self) -> tuple:
         """Return the six ``(protocol_id, Protocol)`` rows at equal effort."""
@@ -150,72 +134,28 @@ class LossPoint:
 
 
 @dataclass(frozen=True)
-class LossResilienceResult:
+class LossResilienceResult(GridResult[LossResilienceConfig, LossPoint]):
     """Result of the loss-resilience sweep."""
 
-    config: LossResilienceConfig
-    points: tuple
-
-    def protocols(self) -> list[str]:
-        """Return the protocol ids in run order (deduplicated)."""
-        seen: dict[str, None] = {}
-        for p in self.points:
-            seen.setdefault(p.protocol, None)
-        return list(seen)
+    COLUMNS = (
+        ("protocol", "protocol"),
+        ("q", "q"),
+        ("loss", "loss_probability"),
+        ("reps", "repetitions"),
+        ("reliability", "reliability"),
+        ("std", "reliability_std"),
+        ("msgs/member", "messages_per_member"),
+        ("drop rate", "drop_rate"),
+        ("atomic", "atomic_rate"),
+    )
 
     def series_for(self, protocol: str, q: float) -> list[LossPoint]:
         """Return one ``(protocol, q)`` loss series, ordered by loss."""
-        return sorted(
-            (
-                p
-                for p in self.points
-                if p.protocol == protocol and abs(p.q - q) < 1e-12
-            ),
-            key=lambda p: p.loss_probability,
-        )
+        return self._series("loss_probability", protocol=protocol, q=q)
 
     def point(self, protocol: str, q: float, loss_probability: float) -> LossPoint:
         """Return one cell; raise ``KeyError`` if absent."""
-        for p in self.points:
-            if (
-                p.protocol == protocol
-                and abs(p.q - q) < 1e-12
-                and abs(p.loss_probability - loss_probability) < 1e-12
-            ):
-                return p
-        raise KeyError(
-            f"no point for protocol={protocol!r}, q={q!r}, "
-            f"loss_probability={loss_probability!r}"
-        )
-
-    def to_table(self, *, precision: int = 4) -> str:
-        """Render the full grid as an aligned text table."""
-        headers = [
-            "protocol",
-            "q",
-            "loss",
-            "reps",
-            "reliability",
-            "std",
-            "msgs/member",
-            "drop rate",
-            "atomic",
-        ]
-        rows = [
-            [
-                p.protocol,
-                p.q,
-                p.loss_probability,
-                p.repetitions,
-                p.reliability,
-                p.reliability_std,
-                p.messages_per_member,
-                p.drop_rate,
-                p.atomic_rate,
-            ]
-            for p in self.points
-        ]
-        return format_table(headers, rows, precision=precision)
+        return self._point(protocol=protocol, q=q, loss_probability=loss_probability)
 
     def check_shape(self, *, tolerance: float = 0.05) -> list[str]:
         """Check the qualitative loss-resilience claims.
@@ -265,87 +205,34 @@ class LossResilienceResult:
         return problems
 
 
-def _run_cell_batch(args: tuple) -> tuple:
-    """Process-pool worker: one chunk of replicas through the lossy batched engine.
-
-    The :class:`NetworkModel` crosses the process boundary directly — the
-    latency samplers are frozen dataclasses, so the model pickles whole.
-    """
-    protocol, n, q, network, seed, repetitions = args
-    result = simulate_protocol_batch(
-        protocol,
-        n,
-        q,
-        repetitions=repetitions,
-        seed=seed,
-        network=network,
+def _point(config: LossResilienceConfig, cell: Cell, result: BatchProtocolResult) -> LossPoint:
+    reliability, reliability_std = mean_std(result.reliability())
+    return LossPoint(
+        protocol=cell.protocol_id,
+        q=cell.q,
+        loss_probability=cell.key[0],
+        repetitions=config.repetitions,
+        reliability=reliability,
+        reliability_std=reliability_std,
+        messages_per_member=float(result.messages_per_member().mean()),
+        drop_rate=drop_rate(result),
+        atomic_rate=float(result.is_atomic().mean()),
     )
-    return (
-        result.reliability().tolist(),
-        result.messages_per_member().tolist(),
-        result.messages_sent.tolist(),
-        result.messages_dropped.tolist(),
-        result.is_atomic().tolist(),
-    )
-
-
-def _run_cell_scalar(args: tuple) -> tuple:
-    """Process-pool worker: one chunk of replicas through the scalar reference."""
-    protocol, n, q, network, seed, repetitions = args
-    rng = as_generator(seed)
-    reliability, messages, sent, dropped, atomic = [], [], [], [], []
-    for _ in range(repetitions):
-        result = protocol.run(n, q, seed=rng, network=network)
-        reliability.append(result.reliability())
-        messages.append(result.messages_per_member())
-        sent.append(result.messages_sent)
-        dropped.append(result.messages_dropped)
-        atomic.append(result.is_atomic())
-    return reliability, messages, sent, dropped, atomic
 
 
 def run_loss_resilience(config: LossResilienceConfig | None = None) -> LossResilienceResult:
     """Run the sweep over the full ``(protocol, q, loss_probability)`` grid."""
     config = config or LossResilienceConfig()
-    worker = _run_cell_batch if config.engine == "batch" else _run_cell_scalar
-    serial = config.processes is not None and config.processes <= 1
-    n_chunks = 1 if serial else max(1, -(-config.repetitions // _CHUNK_REPETITIONS))
-    chunk_sizes = [len(c) for c in np.array_split(np.arange(config.repetitions), n_chunks)]
-
-    points: list[LossPoint] = []
-    protocols = config.protocols()
-    n_cells = len(protocols) * len(config.qs) * len(config.loss_probabilities)
-    cell_seeds = iter(spawn_seeds(n_cells, config.seed))
-    for protocol_id, protocol in protocols:
-        for q in config.qs:
-            for loss in config.loss_probabilities:
-                seeds = spawn_seeds(n_chunks, next(cell_seeds))
-                work = [
-                    (protocol, config.n, q, NetworkModel(loss_probability=loss), seed, size)
-                    for seed, size in zip(seeds, chunk_sizes, strict=True)
-                    if size > 0
-                ]
-                chunks = parallel_map(
-                    worker, work, processes=config.processes, serial_threshold=1
-                )
-                reliability = np.concatenate([np.asarray(c[0], dtype=float) for c in chunks])
-                messages = np.concatenate([np.asarray(c[1], dtype=float) for c in chunks])
-                sent = np.concatenate([np.asarray(c[2], dtype=np.int64) for c in chunks])
-                dropped = np.concatenate([np.asarray(c[3], dtype=np.int64) for c in chunks])
-                atomic = np.concatenate([np.asarray(c[4], dtype=bool) for c in chunks])
-                points.append(
-                    LossPoint(
-                        protocol=protocol_id,
-                        q=float(q),
-                        loss_probability=float(loss),
-                        repetitions=config.repetitions,
-                        reliability=float(reliability.mean()),
-                        reliability_std=(
-                            float(reliability.std(ddof=1)) if reliability.size > 1 else 0.0
-                        ),
-                        messages_per_member=float(messages.mean()),
-                        drop_rate=float(dropped.sum() / max(1, sent.sum())),
-                        atomic_rate=float(atomic.mean()),
-                    )
-                )
-    return LossResilienceResult(config=config, points=tuple(points))
+    cells = [
+        Cell(
+            protocol_id,
+            protocol,
+            float(q),
+            key=(float(loss),),
+            network=NetworkModel(loss_probability=loss),
+        )
+        for protocol_id, protocol in config.protocols()
+        for q in config.qs
+        for loss in config.loss_probabilities
+    ]
+    return LossResilienceResult(config, run_grid(config, cells, _point))

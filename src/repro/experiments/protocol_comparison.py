@@ -18,25 +18,18 @@ All protocols are dimensioned at **equal effort** (the same per-member
 fanout budget), so the comparison isolates the dissemination *strategy*:
 flooding is the reliability upper bound, the paper's push gossip is the
 cheap baseline, and the buffered/pull protocols (pbcast, lpbcast, RDG)
-trade control traffic for the last few percent of reliability.  Replicas
-are fanned out in chunked batches over :func:`repro.utils.parallel.parallel_map`
-exactly like :func:`repro.simulation.runner.estimate_reliability`;
-``engine="scalar"`` replays the per-execution reference protocols instead
-(slow — kept for head-to-head benchmarks and equivalence pinning).
+trade control traffic for the last few percent of reliability.  The cells
+run through :func:`repro.experiments.grid.run_grid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.core.distributions import PoissonFanout
-from repro.simulation.protocol_batch import simulate_protocol_batch
-from repro.utils.parallel import parallel_map
-from repro.utils.rng import as_generator, spawn_seeds
-from repro.utils.tables import format_table
-from repro.utils.validation import check_choice, check_integer, check_probability
+from repro.experiments.grid import Cell, GridResult, mean_std, run_grid
+from repro.simulation.protocol_batch import BatchProtocolResult
+from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
     "ProtocolComparisonConfig",
@@ -51,11 +44,6 @@ PAPER_REFERENCE = (
     "Sec. 2 related work — reliability/cost comparison of the protocol zoo "
     "(flooding, pbcast, lpbcast, RDG, fixed/random fanout) under fail-stop crashes"
 )
-
-#: Replicas per worker task when the comparison fans out over processes.
-#: A function of ``repetitions`` alone so a fixed seed reproduces the same
-#: numbers on any machine (same convention as the reliability runner).
-_CHUNK_REPETITIONS = 8
 
 
 def protocol_zoo(
@@ -151,10 +139,9 @@ class ProtocolComparisonConfig:
         Independent executions per ``(protocol, q)`` cell.
     seed:
         Base seed; every cell derives an independent stream.
-    engine:
-        ``"batch"`` (default) or ``"scalar"`` (per-execution reference).
     processes:
-        Worker processes; 1 keeps execution serial and deterministic.
+        Worker processes (``None``: all cores but one).  Each cell runs as
+        one seeded batch, so the pool size never changes the numbers.
     """
 
     n: int = 1000
@@ -163,7 +150,6 @@ class ProtocolComparisonConfig:
     rounds: int = 8
     repetitions: int = 40
     seed: int = 20082008
-    engine: str = "batch"
     processes: int | None = 1
 
     def __post_init__(self) -> None:
@@ -175,7 +161,6 @@ class ProtocolComparisonConfig:
         check_integer("mean_fanout", self.mean_fanout, minimum=1)
         check_integer("rounds", self.rounds, minimum=1)
         check_integer("repetitions", self.repetitions, minimum=1)
-        check_choice("engine", self.engine, ("batch", "scalar"))
 
     def protocols(self) -> tuple:
         """Return the six ``(protocol_id, Protocol)`` rows at equal effort."""
@@ -209,49 +194,27 @@ class ProtocolPoint:
 
 
 @dataclass(frozen=True)
-class ProtocolComparisonResult:
+class ProtocolComparisonResult(GridResult[ProtocolComparisonConfig, ProtocolPoint]):
     """Result of the cross-protocol comparison."""
 
-    config: ProtocolComparisonConfig
-    points: tuple
-
-    def protocols(self) -> list[str]:
-        """Return the protocol ids in run order (deduplicated)."""
-        seen: dict[str, None] = {}
-        for p in self.points:
-            seen.setdefault(p.protocol, None)
-        return list(seen)
+    COLUMNS = (
+        ("protocol", "protocol"),
+        ("q", "q"),
+        ("reps", "repetitions"),
+        ("reliability", "reliability"),
+        ("std", "reliability_std"),
+        ("rounds", "mean_rounds"),
+        ("msgs/member", "messages_per_member"),
+        ("atomic", "atomic_rate"),
+    )
 
     def series_for(self, protocol: str) -> list[ProtocolPoint]:
         """Return one protocol's ``q`` series, ordered by ``q``."""
-        return sorted(
-            (p for p in self.points if p.protocol == protocol), key=lambda p: p.q
-        )
+        return self._series("q", protocol=protocol)
 
     def point(self, protocol: str, q: float) -> ProtocolPoint:
         """Return one cell; raise ``KeyError`` if absent."""
-        for p in self.points:
-            if p.protocol == protocol and abs(p.q - q) < 1e-12:
-                return p
-        raise KeyError(f"no point for protocol={protocol!r}, q={q!r}")
-
-    def to_table(self, *, precision: int = 4) -> str:
-        """Render the full grid as an aligned text table."""
-        headers = ["protocol", "q", "reps", "reliability", "std", "rounds", "msgs/member", "atomic"]
-        rows = [
-            [
-                p.protocol,
-                p.q,
-                p.repetitions,
-                p.reliability,
-                p.reliability_std,
-                p.mean_rounds,
-                p.messages_per_member,
-                p.atomic_rate,
-            ]
-            for p in self.points
-        ]
-        return format_table(headers, rows, precision=precision)
+        return self._point(protocol=protocol, q=q)
 
     def check_shape(self, *, tolerance: float = 0.05) -> list[str]:
         """Check the qualitative cross-protocol claims.
@@ -306,30 +269,20 @@ class ProtocolComparisonResult:
         return problems
 
 
-def _run_cell_batch(args: tuple) -> tuple:
-    """Process-pool worker: one chunk of replicas through the batched engine."""
-    protocol, n, q, seed, repetitions = args
-    result = simulate_protocol_batch(protocol, n, q, repetitions=repetitions, seed=seed)
-    return (
-        result.reliability().tolist(),
-        result.rounds.tolist(),
-        result.messages_per_member().tolist(),
-        result.is_atomic().tolist(),
+def _point(
+    config: ProtocolComparisonConfig, cell: Cell, result: BatchProtocolResult
+) -> ProtocolPoint:
+    reliability, reliability_std = mean_std(result.reliability())
+    return ProtocolPoint(
+        protocol=cell.protocol_id,
+        q=cell.q,
+        repetitions=config.repetitions,
+        reliability=reliability,
+        reliability_std=reliability_std,
+        mean_rounds=float(result.rounds.mean()),
+        messages_per_member=float(result.messages_per_member().mean()),
+        atomic_rate=float(result.is_atomic().mean()),
     )
-
-
-def _run_cell_scalar(args: tuple) -> tuple:
-    """Process-pool worker: one chunk of replicas through the scalar reference."""
-    protocol, n, q, seed, repetitions = args
-    rng = as_generator(seed)
-    reliability, rounds, messages, atomic = [], [], [], []
-    for _ in range(repetitions):
-        result = protocol.run(n, q, seed=rng)
-        reliability.append(result.reliability())
-        rounds.append(result.rounds)
-        messages.append(result.messages_per_member())
-        atomic.append(result.is_atomic())
-    return reliability, rounds, messages, atomic
 
 
 def run_protocol_comparison(
@@ -337,41 +290,9 @@ def run_protocol_comparison(
 ) -> ProtocolComparisonResult:
     """Run the comparison over the full ``(protocol, q)`` grid."""
     config = config or ProtocolComparisonConfig()
-    worker = _run_cell_batch if config.engine == "batch" else _run_cell_scalar
-    serial = config.processes is not None and config.processes <= 1
-    n_chunks = 1 if serial else max(1, -(-config.repetitions // _CHUNK_REPETITIONS))
-    chunk_sizes = [len(c) for c in np.array_split(np.arange(config.repetitions), n_chunks)]
-
-    points: list[ProtocolPoint] = []
-    protocols = config.protocols()
-    cell_seeds = iter(spawn_seeds(len(protocols) * len(config.qs), config.seed))
-    for protocol_id, protocol in protocols:
-        for q in config.qs:
-            seeds = spawn_seeds(n_chunks, next(cell_seeds))
-            work = [
-                (protocol, config.n, q, seed, size)
-                for seed, size in zip(seeds, chunk_sizes, strict=True)
-                if size > 0
-            ]
-            chunks = parallel_map(
-                worker, work, processes=config.processes, serial_threshold=1
-            )
-            reliability = np.concatenate([np.asarray(c[0], dtype=float) for c in chunks])
-            rounds = np.concatenate([np.asarray(c[1], dtype=float) for c in chunks])
-            messages = np.concatenate([np.asarray(c[2], dtype=float) for c in chunks])
-            atomic = np.concatenate([np.asarray(c[3], dtype=bool) for c in chunks])
-            points.append(
-                ProtocolPoint(
-                    protocol=protocol_id,
-                    q=float(q),
-                    repetitions=config.repetitions,
-                    reliability=float(reliability.mean()),
-                    reliability_std=(
-                        float(reliability.std(ddof=1)) if reliability.size > 1 else 0.0
-                    ),
-                    mean_rounds=float(rounds.mean()),
-                    messages_per_member=float(messages.mean()),
-                    atomic_rate=float(atomic.mean()),
-                )
-            )
-    return ProtocolComparisonResult(config=config, points=tuple(points))
+    cells = [
+        Cell(protocol_id, protocol, float(q))
+        for protocol_id, protocol in config.protocols()
+        for q in config.qs
+    ]
+    return ProtocolComparisonResult(config, run_grid(config, cells, _point))

@@ -36,23 +36,21 @@ targeted-failure path end-to-end.
 highest i.i.d. loss column, **both recovery protocols are at least as
 reliable as every pure-push protocol while sending fewer payload messages
 per member**; drop rates are calibrated (the bursty column against its
-stationary mean); and reliability never improves with churn.
+stationary mean); and reliability never improves with churn.  The cells
+run through :func:`repro.experiments.grid.run_grid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from repro.experiments.grid import Cell, GridResult, drop_rate, mean_std, run_grid
 from repro.experiments.protocol_comparison import protocol_zoo
+from repro.protocols.base import Protocol
 from repro.simulation.churn import PoissonChurnModel
 from repro.simulation.failures import TargetedCrashModel
 from repro.simulation.network import GilbertElliottNetworkModel, NetworkModel
-from repro.simulation.protocol_batch import simulate_protocol_batch
-from repro.utils.parallel import parallel_map
-from repro.utils.rng import spawn_seeds
-from repro.utils.tables import format_table
+from repro.simulation.protocol_batch import BatchProtocolResult
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
@@ -70,10 +68,6 @@ PAPER_REFERENCE = (
     "anti-entropy) vs the pure-push zoo under i.i.d. + bursty loss, churn and "
     "targeted crashes, with payload/control cost accounting"
 )
-
-#: Replicas per worker task when the sweep fans out over processes (same
-#: convention as ``protocol_comparison`` so fixed seeds reproduce anywhere).
-_CHUNK_REPETITIONS = 8
 
 #: Protocols with no repair leg whatsoever: every payload transmission is a
 #: blind push, so a dropped message is lost for good.  The headline claim is
@@ -124,7 +118,8 @@ class RecoveryResilienceConfig:
     seed:
         Base seed; every cell derives an independent stream.
     processes:
-        Worker processes; 1 keeps execution serial and deterministic.
+        Worker processes (``None``: all cores but one).  Each cell runs as
+        one seeded batch, so the pool size never changes the numbers.
     """
 
     n: int = 1000
@@ -172,9 +167,8 @@ class RecoveryResilienceConfig:
         """Return the loss-channel columns as plain-value specs.
 
         Each spec is ``("iid", p)`` or
-        ``("burst", good, bad, good_to_bad, bad_to_good)`` — tuples of
-        floats so they cross process boundaries without pickling a stateful
-        network model.
+        ``("burst", good, bad, good_to_bad, bad_to_good)``; every cell
+        builds its own network model from its spec.
         """
         columns = tuple(("iid", float(p)) for p in self.loss_probabilities)
         columns += (
@@ -210,21 +204,8 @@ class RecoveryResilienceConfig:
         )
 
 
-def _channel_nominal_loss(channel: tuple) -> float:
-    """Return the nominal (mean) drop rate of a channel spec."""
-    if channel[0] == "iid":
-        return float(channel[1])
-    _, good, bad, good_to_bad, bad_to_good = channel
-    return GilbertElliottNetworkModel(
-        loss_probability=good,
-        bad_loss_probability=bad,
-        p_good_to_bad=good_to_bad,
-        p_bad_to_good=bad_to_good,
-    ).mean_loss_probability()
-
-
 def _build_network(channel: tuple) -> NetworkModel:
-    """Instantiate the network model of one channel spec (inside the worker)."""
+    """Instantiate the network model of one channel spec."""
     if channel[0] == "iid":
         return NetworkModel(loss_probability=channel[1])
     _, good, bad, good_to_bad, bad_to_good = channel
@@ -257,18 +238,24 @@ class RecoveryPoint:
 
 
 @dataclass(frozen=True)
-class RecoveryResilienceResult:
+class RecoveryResilienceResult(GridResult[RecoveryResilienceConfig, RecoveryPoint]):
     """Result of the recovery-resilience sweep."""
 
-    config: RecoveryResilienceConfig
-    points: tuple
-
-    def protocols(self) -> list[str]:
-        """Return the protocol ids in run order (deduplicated)."""
-        seen: dict[str, None] = {}
-        for p in self.points:
-            seen.setdefault(p.protocol, None)
-        return list(seen)
+    COLUMNS = (
+        ("protocol", "protocol"),
+        ("channel", "channel"),
+        ("loss", "loss"),
+        ("churn", "churn_rate"),
+        ("failure", "failure"),
+        ("reps", "repetitions"),
+        ("reliability", "reliability"),
+        ("std", "reliability_std"),
+        ("survivors", "survivor_fraction"),
+        ("payload/member", "payload_per_member"),
+        ("control/member", "control_per_member"),
+        ("drop rate", "drop_rate"),
+        ("atomic", "atomic_rate"),
+    )
 
     def point(
         self,
@@ -279,70 +266,15 @@ class RecoveryResilienceResult:
         failure: str = "uniform",
     ) -> RecoveryPoint:
         """Return one cell; raise ``KeyError`` if absent."""
-        for p in self.points:
-            if (
-                p.protocol == protocol
-                and p.channel == channel
-                and abs(p.loss - loss) < 1e-9
-                and abs(p.churn_rate - churn_rate) < 1e-12
-                and p.failure == failure
-            ):
-                return p
-        raise KeyError(
-            f"no point for protocol={protocol!r}, channel={channel!r}, "
-            f"loss={loss!r}, churn_rate={churn_rate!r}, failure={failure!r}"
+        return self._point(
+            protocol=protocol, channel=channel, loss=loss, churn_rate=churn_rate, failure=failure
         )
 
     def series_for(self, protocol: str, channel: str, loss: float) -> list[RecoveryPoint]:
         """Return one uniform-failure churn series of a column, ordered by rate."""
-        return sorted(
-            (
-                p
-                for p in self.points
-                if p.protocol == protocol
-                and p.channel == channel
-                and abs(p.loss - loss) < 1e-9
-                and p.failure == "uniform"
-            ),
-            key=lambda p: p.churn_rate,
+        return self._series(
+            "churn_rate", protocol=protocol, channel=channel, loss=loss, failure="uniform"
         )
-
-    def to_table(self, *, precision: int = 4) -> str:
-        """Render the full grid as an aligned text table."""
-        headers = [
-            "protocol",
-            "channel",
-            "loss",
-            "churn",
-            "failure",
-            "reps",
-            "reliability",
-            "std",
-            "survivors",
-            "payload/member",
-            "control/member",
-            "drop rate",
-            "atomic",
-        ]
-        rows = [
-            [
-                p.protocol,
-                p.channel,
-                p.loss,
-                p.churn_rate,
-                p.failure,
-                p.repetitions,
-                p.reliability,
-                p.reliability_std,
-                p.survivor_fraction,
-                p.payload_per_member,
-                p.control_per_member,
-                p.drop_rate,
-                p.atomic_rate,
-            ]
-            for p in self.points
-        ]
-        return format_table(headers, rows, precision=precision)
 
     def check_shape(
         self, *, tolerance: float = 0.03, payload_slack: float = 1.05
@@ -446,50 +378,63 @@ class RecoveryResilienceResult:
         return problems
 
 
-def _run_cell_batch(args: tuple) -> tuple:
-    """Process-pool worker: one chunk of replicas through the batched engines.
-
-    Network, churn and failure models are all built inside the worker from
-    plain values (floats / tuples), mirroring the loss and churn sweeps'
-    convention so nothing stateful crosses the process boundary.
-    """
-    protocol, n, q, channel, churn_rate, initially_absent, targeted, seed, repetitions = args
-    network = _build_network(channel)
-    if churn_rate == 0.0:
-        churn = PoissonChurnModel()
-    else:
-        churn = PoissonChurnModel(
-            leave_rate=churn_rate,
-            join_rate=churn_rate,
-            initially_absent=initially_absent,
+def _cell(
+    config: RecoveryResilienceConfig,
+    protocol_id: str,
+    protocol: Protocol,
+    channel: tuple,
+    churn_rate: float,
+    targeted: float = 0.0,
+) -> Cell:
+    """Build one cell; ``targeted > 0`` crashes members ``1..k`` as one block."""
+    churn = (
+        PoissonChurnModel(
+            leave_rate=churn_rate, join_rate=churn_rate, initially_absent=config.initially_absent
         )
-    failure_model = None
-    if targeted > 0.0:
-        # An engineered block crash: members 1..k fail (the source never
-        # does), drawn through the batched targeted path.
-        failure_model = TargetedCrashModel(
-            failed=tuple(range(1, 1 + int(round(targeted * n))))
-        )
-    result = simulate_protocol_batch(
-        protocol,
-        n,
-        q,
-        repetitions=repetitions,
-        seed=seed,
-        failure_model=failure_model,
-        network=network,
-        churn=churn,
+        if churn_rate > 0.0
+        else PoissonChurnModel()
     )
+    failure_model: TargetedCrashModel | None = None
+    failure = "uniform"
+    if targeted > 0.0:
+        # The source (member 0) never fails.
+        failure_model = TargetedCrashModel(
+            failed=tuple(range(1, 1 + int(round(targeted * config.n))))
+        )
+        failure = "targeted"
+    loss = config.burst_mean_loss() if channel[0] == "burst" else float(channel[1])
+    return Cell(
+        protocol_id,
+        protocol,
+        float(config.q),
+        key=(channel[0], loss, float(churn_rate), failure),
+        network=_build_network(channel),
+        churn=churn,
+        failure_model=failure_model,
+    )
+
+
+def _point(
+    config: RecoveryResilienceConfig, cell: Cell, result: BatchProtocolResult
+) -> RecoveryPoint:
+    channel, loss, churn_rate, failure = cell.key
     reliability = result.reliability_among_survivors()
-    return (
-        reliability.tolist(),
-        result.survivor_fraction().tolist(),
-        result.messages_per_member().tolist(),
-        result.payload_messages_per_member().tolist(),
-        result.control_messages_per_member().tolist(),
-        result.messages_sent.tolist(),
-        result.messages_dropped.tolist(),
-        (reliability >= 1.0 - 1e-12).tolist(),
+    mean, std = mean_std(reliability)
+    return RecoveryPoint(
+        protocol=cell.protocol_id,
+        channel=channel,
+        loss=loss,
+        churn_rate=churn_rate,
+        failure=failure,
+        repetitions=config.repetitions,
+        reliability=mean,
+        reliability_std=std,
+        survivor_fraction=float(result.survivor_fraction().mean()),
+        messages_per_member=float(result.messages_per_member().mean()),
+        payload_per_member=float(result.payload_messages_per_member().mean()),
+        control_per_member=float(result.control_messages_per_member().mean()),
+        drop_rate=drop_rate(result),
+        atomic_rate=float((reliability >= 1.0 - 1e-12).mean()),
     )
 
 
@@ -498,70 +443,15 @@ def run_recovery_resilience(
 ) -> RecoveryResilienceResult:
     """Run the sweep over the ``(protocol, channel, churn_rate [, targeted])`` grid."""
     config = config or RecoveryResilienceConfig()
-    serial = config.processes is not None and config.processes <= 1
-    n_chunks = 1 if serial else max(1, -(-config.repetitions // _CHUNK_REPETITIONS))
-    chunk_sizes = [len(c) for c in np.array_split(np.arange(config.repetitions), n_chunks)]
-
-    protocols = config.protocols()
-    channels = config.channels()
     top_loss = max(config.loss_probabilities)
-    # Grid rows: uniform crashes over every (channel, churn_rate) cell, plus
-    # one targeted-crash row per protocol at the highest i.i.d. loss column.
-    cells: list[tuple] = []
-    for protocol_id, protocol in protocols:
-        for channel in channels:
+    # Uniform crashes over every (channel, churn_rate) cell, plus one
+    # targeted-crash row per protocol at the highest i.i.d. loss column.
+    cells = []
+    for protocol_id, protocol in config.protocols():
+        for channel in config.channels():
             for rate in config.churn_rates:
-                cells.append((protocol_id, protocol, channel, rate, 0.0))
-        cells.append((protocol_id, protocol, ("iid", top_loss), 0.0, config.targeted_fraction))
-
-    points: list[RecoveryPoint] = []
-    cell_seeds = iter(spawn_seeds(len(cells), config.seed))
-    for protocol_id, protocol, channel, rate, targeted in cells:
-        seeds = spawn_seeds(n_chunks, next(cell_seeds))
-        work = [
-            (
-                protocol,
-                config.n,
-                config.q,
-                channel,
-                rate,
-                config.initially_absent,
-                targeted,
-                seed,
-                size,
-            )
-            for seed, size in zip(seeds, chunk_sizes, strict=True)
-            if size > 0
-        ]
-        chunks = parallel_map(
-            _run_cell_batch, work, processes=config.processes, serial_threshold=1
+                cells.append(_cell(config, protocol_id, protocol, channel, rate))
+        cells.append(
+            _cell(config, protocol_id, protocol, ("iid", top_loss), 0.0, config.targeted_fraction)
         )
-        reliability = np.concatenate([np.asarray(c[0], dtype=float) for c in chunks])
-        survivors = np.concatenate([np.asarray(c[1], dtype=float) for c in chunks])
-        messages = np.concatenate([np.asarray(c[2], dtype=float) for c in chunks])
-        payload = np.concatenate([np.asarray(c[3], dtype=float) for c in chunks])
-        control = np.concatenate([np.asarray(c[4], dtype=float) for c in chunks])
-        sent = np.concatenate([np.asarray(c[5], dtype=float) for c in chunks])
-        dropped = np.concatenate([np.asarray(c[6], dtype=float) for c in chunks])
-        atomic = np.concatenate([np.asarray(c[7], dtype=bool) for c in chunks])
-        points.append(
-            RecoveryPoint(
-                protocol=protocol_id,
-                channel=channel[0],
-                loss=_channel_nominal_loss(channel),
-                churn_rate=float(rate),
-                failure="targeted" if targeted > 0.0 else "uniform",
-                repetitions=config.repetitions,
-                reliability=float(reliability.mean()),
-                reliability_std=(
-                    float(reliability.std(ddof=1)) if reliability.size > 1 else 0.0
-                ),
-                survivor_fraction=float(survivors.mean()),
-                messages_per_member=float(messages.mean()),
-                payload_per_member=float(payload.mean()),
-                control_per_member=float(control.mean()),
-                drop_rate=float(dropped.sum() / max(sent.sum(), 1.0)),
-                atomic_rate=float(atomic.mean()),
-            )
-        )
-    return RecoveryResilienceResult(config=config, points=tuple(points))
+    return RecoveryResilienceResult(config, run_grid(config, cells, _point))

@@ -68,8 +68,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             LossResilienceConfig(loss_probabilities=(1.5,))
         with pytest.raises(ValueError):
-            LossResilienceConfig(engine="vectorised")
-        with pytest.raises(ValueError):
             LossResilienceConfig().with_scale(0.0)
 
 
@@ -140,28 +138,6 @@ class TestRun:
         result = run_loss_resilience(config)
         assert len(result.points) == len(config.protocols()) * 2
         assert all(0.0 <= p.reliability <= 1.0 for p in result.points)
-
-    def test_scalar_engine_agrees_with_batch(self):
-        # 24 replicas: random-fanout is bimodal (take-off or die-out), so
-        # smaller samples leave the mean one take-off short of the other side.
-        config = small_config(loss_probabilities=(0.2,), repetitions=24)
-        batch = run_loss_resilience(config)
-        scalar = run_loss_resilience(
-            LossResilienceConfig(
-                n=200,
-                qs=(0.9,),
-                loss_probabilities=(0.2,),
-                repetitions=24,
-                seed=42,
-                engine="scalar",
-            )
-        )
-        for protocol in batch.protocols():
-            gap = abs(
-                batch.point(protocol, 0.9, 0.2).reliability
-                - scalar.point(protocol, 0.9, 0.2).reliability
-            )
-            assert gap < 0.1, f"{protocol}: batch vs scalar gap {gap:.3f}"
 
     def test_loss_free_column_matches_protocol_comparison(self):
         # At loss=0 the sweep must reproduce the loss-free experiment's

@@ -49,8 +49,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolComparisonConfig(qs=(1.5,))
         with pytest.raises(ValueError):
-            ProtocolComparisonConfig(engine="vectorised")
-        with pytest.raises(ValueError):
             ProtocolComparisonConfig().with_scale(0.0)
 
 
@@ -99,21 +97,6 @@ class TestRun:
         b = run_protocol_comparison(small_config(qs=(0.9,), repetitions=6))
         for pa, pb in zip(a.points, b.points, strict=True):
             assert pa == pb
-
-    def test_scalar_engine_agrees_with_batch(self):
-        config = small_config(qs=(0.9,), repetitions=16)
-        batch = run_protocol_comparison(config)
-        scalar = run_protocol_comparison(
-            ProtocolComparisonConfig(
-                n=200, qs=(0.9,), repetitions=16, seed=42, engine="scalar"
-            )
-        )
-        for protocol in batch.protocols():
-            gap = abs(
-                batch.point(protocol, 0.9).reliability
-                - scalar.point(protocol, 0.9).reliability
-            )
-            assert gap < 0.1, f"{protocol}: batch vs scalar gap {gap:.3f}"
 
 
 class TestRegistry:
