@@ -23,7 +23,6 @@ __all__ = [
     "pmf_to_table",
     "distribution_sweep_to_table",
     "dimensioning_to_table",
-    "latency_to_table",
 ]
 
 
@@ -91,29 +90,6 @@ def distribution_sweep_to_table(sweep: DistributionSweep, *, precision: int = 4)
         )
         for r in sweep.rows
     ]
-    return format_table(headers, rows, precision=precision)
-
-
-def latency_to_table(points: Iterable[Any], *, precision: int = 4) -> str:
-    """Render latency-profile cells as one row per ``(protocol, latency, loss)``.
-
-    ``points`` is any iterable of objects with the
-    :class:`~repro.experiments.latency_profile.LatencyPoint` field surface;
-    the percentile columns are taken from each point's own
-    ``delivery_percentiles`` pairs (all points are expected to report the
-    same set, as one sweep produces).
-    """
-    points = list(points)
-    labels = [label for label, _ in points[0].delivery_percentiles] if points else []
-    headers = ["protocol", "latency", "loss", "reliability"] + labels + ["msgs/member"]
-    rows = []
-    for p in points:
-        values = dict(p.delivery_percentiles)
-        rows.append(
-            [p.protocol, p.latency, p.loss_probability, p.reliability]
-            + [values[label] for label in labels]
-            + [p.messages_per_member]
-        )
     return format_table(headers, rows, precision=precision)
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.tables import latency_to_table
 from repro.experiments.latency_profile import (
     LatencyPoint,
     LatencyProfileConfig,
@@ -111,7 +110,15 @@ class TestResultSurface:
 
     def test_to_table_renders_grid(self, result):
         table = result.to_table()
-        for fragment in ("protocol", "p50", "p99", "p999", "flooding", "exponential(1)"):
+        for fragment in (
+            "protocol",
+            "p50",
+            "p99",
+            "p999",
+            "msgs/member",
+            "flooding",
+            "exponential(1)",
+        ):
             assert fragment in table
 
     def test_check_shape_is_clean(self, result):
@@ -149,11 +156,6 @@ class TestResultSurface:
     def test_deterministic_given_seed(self, result):
         rerun = run_latency_profile(tiny_config())
         assert rerun.points == result.points
-
-    def test_latency_to_table_helper(self, result):
-        table = latency_to_table(result.points)
-        assert "msgs/member" in table
-        assert "p999" in table
 
 
 class TestParallelExecution:
