@@ -52,8 +52,8 @@ class ReliabilityFigureConfig:
         Simulation engine: ``"batch"`` (default, replica-parallel) or
         ``"scalar"`` (per-replica reference).
     processes:
-        Worker processes for chunked replica batches (1 = serial,
-        deterministic; ``None`` = auto).
+        Worker processes (1 = serial; ``None`` = auto).  The sweep maps
+        whole cells over the pool, so the pool size never changes a number.
     """
 
     n: int

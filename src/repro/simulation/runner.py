@@ -11,10 +11,16 @@ The default engine is the **batched** simulator
 (:func:`repro.simulation.gossip.simulate_gossip_batch`): all repetitions of a
 parameter pair advance together as ``(R, n)`` masks, so a whole estimate
 costs a handful of numpy passes.  ``engine="scalar"`` falls back to the
-per-replica reference simulator.  When fanned out over a process pool the
-repetitions are split into *chunked replica batches* (one batch per worker
-task, not one task per replica); worker inputs are plain picklable tuples of
-integers/floats so the pool never has to ship generator state.
+per-replica reference simulator.
+
+The repetitions of one pair are split into *chunked replica batches* whose
+layout is a function of ``n`` and ``repetitions`` alone: a chunk holds up to
+``max(8, 2**17 // n)`` replicas, so the paper's 20 replicas run as one batch
+at ``n <= 6553`` (Figs. 4 and 5), while every ``n >= 16384`` keeps 8-replica
+chunks and the memory and numbers those gave.  A pool runs the chunks of one
+pair side by side; :func:`reliability_sweep` maps whole cells over the pool
+instead.  Worker inputs are plain picklable tuples of integers/floats so the
+pool never has to ship generator state.
 """
 
 from __future__ import annotations
@@ -39,10 +45,10 @@ from repro.utils.validation import check_choice, check_integer, check_probabilit
 
 __all__ = ["estimate_reliability", "reliability_sweep", "SweepResult", "SweepPoint"]
 
-#: Replicas per worker task in the parallel path.  The chunk layout is a
-#: function of ``repetitions`` alone — never of the worker or host core
-#: count — so a fixed seed reproduces the same numbers on any machine.
-_CHUNK_REPETITIONS = 8
+#: ``(replica, member)`` cell budget of one replica chunk: a chunk holds up to
+#: ``max(8, _CHUNK_CELLS // n)`` replicas.  The floor of 8 keeps the layout,
+#: memory and numbers of every ``n >= 16384`` as fixed 8-replica chunks gave.
+_CHUNK_CELLS = 1 << 17
 
 
 def _run_replica_batch(
@@ -70,6 +76,27 @@ def _run_replica_batch(
         )
         for m in result.metrics()
     ]
+
+
+def _run_sweep_cell(
+    args: tuple[int, FanoutDistribution, float, int, int, bool, str],
+) -> ReliabilityEstimate:
+    """Process-pool worker: one sweep cell, estimated serially where it runs.
+
+    Calls :func:`estimate_reliability` through this module's binding, so a
+    wrapper installed there (a timer, a tracer) sees every in-process cell.
+    """
+    n, distribution, q, repetitions, seed, conditional_on_spread, engine = args
+    return estimate_reliability(
+        n,
+        distribution,
+        q,
+        repetitions=repetitions,
+        seed=seed,
+        processes=1,
+        conditional_on_spread=conditional_on_spread,
+        engine=engine,
+    )
 
 
 def _run_one_replica(
@@ -116,14 +143,16 @@ def estimate_reliability(
         Number of independent executions (paper: 20 per parameter pair).
     processes:
         Worker processes.  The default of 1 runs in the calling process;
-        values > 1 (or ``None`` for auto) fan the work out over a pool.
-        With the default full membership view the repetitions are *always*
-        split into the same chunked replica batches (a function of
-        ``repetitions`` alone) and seeded by spawning one child seed per
-        chunk, so at a fixed seed every ``processes`` setting — ``1``,
-        ``None``, or any worker count — produces bit-identical numbers.
-        Partial membership views are not shipped to workers and therefore
-        force serial execution.
+        values > 1 (or ``None`` for auto) run the chunks over a pool.  With
+        the default full membership view the repetitions are *always* split
+        into the same chunked replica batches, a function of ``n`` and
+        ``repetitions`` alone: up to ``max(8, 2**17 // n)`` replicas per
+        chunk, so 20 replicas are one batch at ``n <= 6553``, and the floor
+        of 8 keeps the layout, memory and numbers of ``n >= 16384``.
+        Each chunk is seeded by one spawned child seed, so at a fixed seed
+        every ``processes`` setting — ``1``, ``None``, or any worker count —
+        produces bit-identical numbers.  Partial membership views are not
+        shipped to workers and therefore force serial execution.
     conditional_on_spread:
         When True, average only over executions whose dissemination took off
         (delivered more than ``max(10, sqrt(n))`` members).  Single
@@ -201,11 +230,11 @@ def estimate_reliability(
         )
 
     # Chunked replica batches: one task per chunk, not per replica.  Chunk
-    # count and per-chunk seeds depend only on `repetitions` and `seed` —
-    # never on `processes` or the host core count — so the serial spelling
+    # count and per-chunk seeds depend only on `n`, `repetitions` and `seed`
+    # — never on `processes` or the host core count — so the serial spelling
     # (processes=1), the auto spelling (processes=None), and any explicit
     # pool size reproduce exactly the same numbers at a fixed seed.
-    n_chunks = max(1, -(-repetitions // _CHUNK_REPETITIONS))
+    n_chunks = max(1, -(-repetitions // max(8, _CHUNK_CELLS // n)))
     chunk_sizes = [len(c) for c in np.array_split(np.arange(repetitions), n_chunks)]
     seeds = spawn_seeds(n_chunks, seed)
     work = [
@@ -302,39 +331,34 @@ def reliability_sweep(
     mean fanout to a distribution instance (default Poisson); the analytical
     column uses the same distribution so the comparison is apples-to-apples.
     ``conditional_on_spread`` and ``engine`` are forwarded to
-    :func:`estimate_reliability`.
+    :func:`estimate_reliability`.  ``processes`` maps whole cells over a
+    pool, each estimated serially; the pool size never changes a number.
     """
     n = check_integer("n", n, minimum=2)
     fanouts = tuple(float(f) for f in fanouts)
     qs = tuple(float(check_probability("q", q)) for q in qs)
     rng = as_generator(seed)
 
+    # One spawned child seed per grid cell, drawn in cell order before any
+    # cell runs.  Each cell's chunk layout is fixed by (n, repetitions), so
+    # serial (1), auto (None) and explicit pool sizes all give the same
+    # numbers at a fixed seed.
+    cells = [(fanout, q, distribution_factory(fanout)) for q in qs for fanout in fanouts]
+    tasks = [
+        (n, dist, q, repetitions, spawn_seeds(1, rng)[0], conditional_on_spread, engine)
+        for _, q, dist in cells
+    ]
+    estimates = parallel_map(_run_sweep_cell, tasks, processes=processes)
     result = SweepResult(n=n, fanouts=fanouts, qs=qs)
-    for q in qs:
-        for fanout in fanouts:
-            dist = distribution_factory(fanout)
-            # One spawned child seed per grid cell, whatever the `processes`
-            # spelling: serial (1), auto (None), and explicit pool sizes all
-            # hand the same integer to the same chunk layout downstream, so
-            # a fixed-seed sweep is bit-identical across all of them.
-            estimate = estimate_reliability(
-                n,
-                dist,
-                q,
+    for (fanout, q, dist), estimate in zip(cells, estimates, strict=True):
+        result.points.append(
+            SweepPoint(
+                mean_fanout=fanout,
+                q=q,
+                simulated=estimate.mean_reliability,
+                simulated_std=estimate.std_reliability,
+                analytical=analytical_reliability(dist, q),
                 repetitions=repetitions,
-                seed=spawn_seeds(1, rng)[0],
-                processes=processes,
-                conditional_on_spread=conditional_on_spread,
-                engine=engine,
             )
-            result.points.append(
-                SweepPoint(
-                    mean_fanout=fanout,
-                    q=q,
-                    simulated=estimate.mean_reliability,
-                    simulated_std=estimate.std_reliability,
-                    analytical=analytical_reliability(dist, q),
-                    repetitions=repetitions,
-                )
-            )
+        )
     return result

@@ -77,9 +77,14 @@ class TestAnalyticalInterface:
 
 class TestSimulationInterface:
     def test_simulate_reliability_matches_analysis(self):
+        # R(q, P) is the reach of a gossip that took off.  About 3% of
+        # replicas die out near the source, so the unconditional mean of 10
+        # misses R whenever one does: compare the replicas that spread.
         model = GossipModel.poisson(800, 4.0, 0.9)
         estimate = model.simulate_reliability(repetitions=10, seed=1)
-        assert estimate.mean_reliability == pytest.approx(model.reliability(), abs=0.05)
+        spread = estimate.samples[estimate.samples > 0.5]
+        assert spread.size >= 7
+        assert spread.mean() == pytest.approx(model.reliability(), abs=0.05)
         assert estimate.repetitions == 10
 
     def test_simulate_success_counts_shape(self):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.distributions import PoissonFanout
 from repro.core.poisson_case import poisson_reliability
+from repro.simulation import runner
 from repro.simulation.membership import UniformPartialView
 from repro.simulation.runner import estimate_reliability, reliability_sweep
 
@@ -99,9 +100,12 @@ class TestSeedPathDeterminism:
         assert one.mean_messages == auto.mean_messages
 
     def test_estimate_explicit_pool_matches_serial(self):
+        # At n=20,000 the 20 replicas run as three chunks, so the pool runs
+        # them in worker processes.
         kwargs = dict(repetitions=20, seed=32)
-        one = estimate_reliability(300, PoissonFanout(4.0), 0.9, processes=1, **kwargs)
-        pooled = estimate_reliability(300, PoissonFanout(4.0), 0.9, processes=3, **kwargs)
+        one = estimate_reliability(20_000, PoissonFanout(2.0), 0.9, processes=1, **kwargs)
+        pooled = estimate_reliability(20_000, PoissonFanout(2.0), 0.9, processes=3, **kwargs)
+        assert np.unique(one.samples).size > 1
         np.testing.assert_array_equal(one.samples, pooled.samples)
 
     def test_scalar_engine_processes_none_equals_one(self):
@@ -117,6 +121,33 @@ class TestSeedPathDeterminism:
         assert [(p.simulated, p.simulated_std, p.mean_fanout, p.q) for p in one.points] == [
             (p.simulated, p.simulated_std, p.mean_fanout, p.q) for p in auto.points
         ]
+
+    def test_sweep_explicit_pool_matches_serial(self):
+        # Six cells: parallel_map runs 4 or fewer items in-process.
+        kwargs = dict(fanouts=[1.0, 3.0, 5.0], qs=[0.8, 1.0], repetitions=10, seed=35)
+        one = reliability_sweep(250, processes=1, **kwargs)
+        pooled = reliability_sweep(250, processes=2, **kwargs)
+        assert len({p.simulated for p in one.points}) > 1
+        assert one.points == pooled.points
+
+
+class TestChunkLayout:
+    """One estimate's replica chunks depend on ``n`` and ``repetitions`` alone."""
+
+    @pytest.mark.parametrize(("n", "chunks"), [(5000, [20]), (20_000, [7, 7, 6])])
+    def test_chunk_sizes(self, monkeypatch, n, chunks):
+        sizes = []
+        batch = runner.simulate_gossip_batch
+
+        def recording(*args, **kwargs):
+            sizes.append(kwargs["repetitions"])
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate_gossip_batch", recording)
+        # Subcritical (mean fanout 0.45 among survivors): every replica dies out fast.
+        estimate = estimate_reliability(n, PoissonFanout(0.5), 0.9, repetitions=20, seed=36)
+        assert sizes == chunks
+        assert estimate.repetitions == 20
 
 
 class TestReliabilitySweep:
