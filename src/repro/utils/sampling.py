@@ -39,7 +39,8 @@ outputs — the Fig. 4/5 tables, dimensioning answers — differ from the ones
 the padded sampler gave.
 
 :func:`unique_unseen` is the matching dedup kernel: the batched engines use
-it to turn a round's delivered cells into the sorted distinct fresh ones.
+it to turn a round's delivered cells into the sorted distinct fresh ones, by
+a sort for small rounds and a cell mask for large ones.
 
 The module lives under :mod:`repro.utils` because it must not depend on
 either the simulation or the graph subpackage.
@@ -259,12 +260,18 @@ def sample_distinct_rows_excluding(
 def unique_unseen(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
     """Sorted distinct entries of a 1-D index array whose ``seen`` flag is False.
 
-    Returns exactly ``np.unique(values[~seen[values]])``: the unseen values
-    are sorted and every value equal to its predecessor is dropped.  From
-    numpy 2.3 ``np.unique`` deduplicates integers with a hash table, which is
-    about 10x slower than this sort at the few thousand cells a batched
-    gossip round delivers.
+    Returns exactly ``np.unique(values[~seen[values]])``.  From numpy 2.3
+    ``np.unique`` deduplicates integers with a hash table, which is about 10x
+    slower than either branch here.  A round with at least an eighth as many
+    values as ``seen`` has cells marks its values in a fresh cell mask and
+    reads the unseen marks back in order (O(cells), about 8x faster than the
+    sort at 175,000 values over 35,000 cells); a smaller round sorts the
+    unseen values and drops every value equal to its predecessor.
     """
+    if values.size * 8 >= seen.size:
+        hit = np.zeros(seen.size, dtype=bool)
+        hit[values] = True
+        return np.flatnonzero(hit > seen).astype(values.dtype, copy=False)
     values = np.sort(values[~seen[values]])
     if values.size > 1:
         keep = np.empty(values.size, dtype=bool)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -31,28 +31,50 @@ def _nothing_seen(values: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def int_arrays(draw):
-    high = draw(_HIGHS)
-    return np.array(draw(st.lists(st.integers(0, high), max_size=300)), dtype=np.int64)
+def dedup_inputs(draw, *, some_seen):
+    """Index values (int32 or int64) and a ``seen`` mask on either side of the branch line.
+
+    ``unique_unseen`` marks a cell mask when ``values.size * 8 >= seen.size``
+    and sorts otherwise.  Each draw picks a side; the mask side needs values
+    below ``8 * values.size``, since ``seen`` must cover every value.
+    """
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    values = np.array(draw(st.lists(st.integers(0, draw(_HIGHS)), max_size=300)), dtype=dtype)
+    cover = _nothing_seen(values).size
+    line = 8 * values.size
+    if cover <= line and draw(st.booleans()):
+        cells = draw(st.integers(cover, line))
+    else:
+        cells = draw(st.integers(max(cover, line + 1), max(cover, line + 1) + 64))
+    seen = np.zeros(cells, dtype=bool)
+    if some_seen:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        seen = rng.random(cells) < draw(st.floats(0.0, 1.0))
+    return values, seen
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_arrays())
-def test_equals_np_unique(values):
-    out = unique_unseen(values, _nothing_seen(values))
+@given(dedup_inputs(some_seen=False))
+@example((np.array([3, 1, 3], dtype=np.int32), np.zeros(4, dtype=bool)))  # mask: 24 >= 4
+@example((np.array([5, 0, 5], dtype=np.int64), np.zeros(100, dtype=bool)))  # sort: 24 < 100
+def test_equals_np_unique(inputs):
+    values, seen = inputs
+    out = unique_unseen(values, seen)
     expected = np.unique(values)
     assert out.dtype == expected.dtype
     np.testing.assert_array_equal(out, expected)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(0, 63), max_size=200),
-    st.lists(st.booleans(), min_size=64, max_size=64),
-)
-def test_skips_seen_values(values, seen):
-    values, seen = np.array(values, dtype=np.int64), np.array(seen)
-    np.testing.assert_array_equal(unique_unseen(values, seen), np.unique(values[~seen[values]]))
+@given(dedup_inputs(some_seen=True))
+@example((np.array([3, 1, 3, 2], dtype=np.int64), np.array([False, True, False, True])))  # mask: 32 >= 4
+@example((np.array([5, 0, 5, 7], dtype=np.int32), np.arange(40) % 3 == 0))  # sort: 32 < 40
+def test_skips_seen_values(inputs):
+    values, seen = inputs
+    out = unique_unseen(values, seen)
+    expected = np.unique(values[~seen[values]])
+    assert out.dtype == expected.dtype
+    np.testing.assert_array_equal(out, expected)
 
 
 @pytest.mark.parametrize(
