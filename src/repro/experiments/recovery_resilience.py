@@ -105,8 +105,9 @@ class RecoveryResilienceConfig:
         Join-pool fraction of the nonzero-churn models.
     targeted_fraction:
         Fraction of the group crashed as one engineered block (members
-        ``1..k``) in the targeted-crash rows, which run the highest i.i.d.
-        loss column at churn 0.
+        ``1..k``, ``k = round(targeted_fraction * n) >= 1``) in the
+        targeted-crash rows, which run the highest i.i.d. loss column at
+        churn 0.
     mean_fanout:
         Per-member effort budget (push fanout / overlay degree / lazy-push
         eager+IHAVE fanout; anti-entropy reconciles with half of it).
@@ -155,6 +156,11 @@ class RecoveryResilienceConfig:
             check_probability("churn_rate", rate, allow_one=False)
         check_probability("initially_absent", self.initially_absent)
         check_probability("targeted_fraction", self.targeted_fraction, allow_one=False)
+        if round(self.targeted_fraction * self.n) < 1:
+            raise ValueError(
+                f"targeted_fraction={self.targeted_fraction} crashes no member of "
+                f"n={self.n}; the targeted-crash rows need at least one"
+            )
         check_integer("mean_fanout", self.mean_fanout, minimum=1)
         check_integer("rounds", self.rounds, minimum=1)
         check_integer("repetitions", self.repetitions, minimum=1)

@@ -67,6 +67,11 @@ class TestConfig:
             RecoveryResilienceConfig(burst_loss_bad=-0.1)
         with pytest.raises(ValueError):
             RecoveryResilienceConfig(targeted_fraction=1.0)
+        # A fraction that rounds to no crashed member would build a second
+        # uniform-crash row (0.0) or a "targeted" row that crashes nobody.
+        for fraction in (0.0, 0.004):
+            with pytest.raises(ValueError, match="targeted_fraction"):
+                RecoveryResilienceConfig(n=100, targeted_fraction=fraction)
         with pytest.raises(ValueError):
             RecoveryResilienceConfig().with_scale(0.0)
 
