@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -528,6 +530,8 @@ def load_surface(path: str | Path, *, allow_version_mismatch: bool = False) -> R
       engine behaviour changes would silently invalidate every cell);
     * SHA-256 mismatch between the manifest and the ``.npz`` bytes
       (corruption, or a manifest paired with the wrong arrays);
+    * arrays that do not read back (a truncated or otherwise broken
+      ``.npz`` whose manifest checksum was recomputed to match it);
     * seed recorded in the arrays different from the manifest seed;
     * axes recorded in the arrays different from the manifest grid;
     * a manifest that is not a JSON object, or a scalar field that is
@@ -579,40 +583,46 @@ def load_surface(path: str | Path, *, allow_version_mismatch: bool = False) -> R
         )
 
     grid = SurfaceGrid.from_manifest(manifest.get("grid", {}))
-    with np.load(npz_path) as arrays:
-        required = {"mean", "ci_low", "ci_high", "cost", "axis_ns", "axis_qs",
-                    "axis_losses", "axis_fanouts", "axis_rounds", "seed"}
-        missing = required - set(arrays.files)
-        if missing:
-            raise SurfaceValidationError(f"surface arrays missing keys {sorted(missing)}")
-        stored_axes = (
-            tuple(int(v) for v in arrays["axis_ns"]),
-            tuple(float(v) for v in arrays["axis_qs"]),
-            tuple(float(v) for v in arrays["axis_losses"]),
-            tuple(float(v) for v in arrays["axis_fanouts"]),
-            tuple(int(v) for v in arrays["axis_rounds"]),
+    try:
+        # Decode every member here: NpzFile reads a member lazily, on access.
+        with np.load(npz_path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (zipfile.BadZipFile, zlib.error, OSError, ValueError, EOFError,
+            NotImplementedError) as exc:  # NotImplementedError: unknown compression
+        raise SurfaceValidationError(f"unreadable surface arrays {npz_path}: {exc}") from exc
+    required = {"mean", "ci_low", "ci_high", "cost", "axis_ns", "axis_qs",
+                "axis_losses", "axis_fanouts", "axis_rounds", "seed"}
+    missing = required - set(arrays)
+    if missing:
+        raise SurfaceValidationError(f"surface arrays missing keys {sorted(missing)}")
+    stored_axes = (
+        tuple(int(v) for v in arrays["axis_ns"]),
+        tuple(float(v) for v in arrays["axis_qs"]),
+        tuple(float(v) for v in arrays["axis_losses"]),
+        tuple(float(v) for v in arrays["axis_fanouts"]),
+        tuple(int(v) for v in arrays["axis_rounds"]),
+    )
+    if stored_axes != grid.axes:
+        raise SurfaceValidationError(
+            "grid axes recorded in the arrays disagree with the manifest grid spec"
         )
-        if stored_axes != grid.axes:
-            raise SurfaceValidationError(
-                "grid axes recorded in the arrays disagree with the manifest grid spec"
-            )
-        stored_seed = int(arrays["seed"])
-        manifest_seed = _manifest_field(manifest, "seed")
-        if stored_seed != manifest_seed:
-            raise SurfaceValidationError(
-                f"seed recorded in the arrays ({stored_seed}) disagrees with the "
-                f"manifest seed ({manifest_seed!r})"
-            )
-        return ReliabilitySurface(
-            grid=grid,
-            protocol=_manifest_field(manifest, "protocol"),
-            mean=arrays["mean"],
-            ci_low=arrays["ci_low"],
-            ci_high=arrays["ci_high"],
-            cost=arrays["cost"],
-            repetitions=_manifest_field(manifest, "repetitions"),
-            confidence=float(_manifest_field(manifest, "confidence")),
-            seed=stored_seed,
-            engine_version=str(engine_version),
-            conditional_on_spread=_manifest_field(manifest, "conditional_on_spread"),
+    stored_seed = int(arrays["seed"])
+    manifest_seed = _manifest_field(manifest, "seed")
+    if stored_seed != manifest_seed:
+        raise SurfaceValidationError(
+            f"seed recorded in the arrays ({stored_seed}) disagrees with the "
+            f"manifest seed ({manifest_seed!r})"
         )
+    return ReliabilitySurface(
+        grid=grid,
+        protocol=_manifest_field(manifest, "protocol"),
+        mean=arrays["mean"],
+        ci_low=arrays["ci_low"],
+        ci_high=arrays["ci_high"],
+        cost=arrays["cost"],
+        repetitions=_manifest_field(manifest, "repetitions"),
+        confidence=float(_manifest_field(manifest, "confidence")),
+        seed=stored_seed,
+        engine_version=str(engine_version),
+        conditional_on_spread=_manifest_field(manifest, "conditional_on_spread"),
+    )

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.serving.surface import (
     GOSSIP_PROTOCOLS,
     SURFACE_FORMAT_VERSION,
@@ -167,6 +171,40 @@ class TestArtifactContract:
         npz_path.write_bytes(bytes(blob))
         with pytest.raises(SurfaceValidationError, match="checksum"):
             load_surface(npz_path)
+
+    @staticmethod
+    def _resign(npz_path, manifest_path, blob):
+        """Write ``blob`` as the arrays and recompute the manifest checksum to match."""
+        npz_path.write_bytes(bytes(blob))
+        manifest = json.loads(manifest_path.read_text())
+        manifest["arrays_sha256"] = hashlib.sha256(bytes(blob)).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+
+    def test_undecodable_member_refused(self, surface, tmp_path):
+        # Flip the first byte of one member's compressed stream: the archive
+        # still opens, and the member fails to inflate or its CRC check.
+        npz_path, manifest_path = surface.save(tmp_path / "surf")
+        blob = bytearray(npz_path.read_bytes())
+        with zipfile.ZipFile(npz_path) as archive:
+            offset = archive.getinfo("mean.npy").header_offset
+        name_len, extra_len = struct.unpack("<HH", blob[offset + 26 : offset + 30])
+        blob[offset + 30 + name_len + extra_len] ^= 0xFF
+        self._resign(npz_path, manifest_path, blob)
+        with pytest.raises(SurfaceValidationError, match="unreadable surface arrays"):
+            load_surface(npz_path)
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.5, 0.99])
+    def test_truncated_arrays_refused(self, surface, tmp_path, capsys, fraction):
+        # The checksum matches, so only reading the arrays can catch this.
+        npz_path, manifest_path = surface.save(tmp_path / "surf")
+        blob = npz_path.read_bytes()
+        self._resign(npz_path, manifest_path, blob[: int(len(blob) * fraction)])
+        with pytest.raises(SurfaceValidationError, match="unreadable surface arrays"):
+            load_surface(npz_path)
+        capsys.readouterr()
+        assert main(["query", str(npz_path), "-q", "0.9", "-f", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable surface arrays") and len(err.splitlines()) == 1
 
     def test_grid_mismatch_refused(self, surface, tmp_path):
         npz_path, manifest_path = surface.save(tmp_path / "surf")
