@@ -149,16 +149,19 @@ class HyParViewProtocol(Protocol):
 
         # One batched draw per view kind realises every replica's initial
         # assignment (the batched analogue of the scalar per-member loop).
+        # Slot ``j`` of cell ``c``'s view is entry ``c * size + j`` of the
+        # flat array; the ``(R, n, size)`` arrays are reshaped views of it.
         picks, _ = sample_distinct_rows_excluding(
             rng, n, np.full(cells_total, active_size, dtype=np.int64), members
         )
-        active_view = picks.astype(np.int64, copy=False).reshape(repetitions, n, active_size)
+        active_flat = picks.astype(np.int64, copy=False).ravel()
+        active_view = active_flat.reshape(repetitions, n, active_size)
+        active_rows = active_flat.reshape(cells_total, active_size)
         picks, _ = sample_distinct_rows_excluding(
             rng, n, np.full(cells_total, passive_size, dtype=np.int64), members
         )
-        passive_view = picks.astype(np.int64, copy=False).reshape(
-            repetitions, n, passive_size
-        )
+        passive_flat = picks.astype(np.int64, copy=False).ravel()
+        passive_view = passive_flat.reshape(repetitions, n, passive_size)
 
         has_message = np.zeros((repetitions, n), dtype=bool)
         has_message[:, source] = True
@@ -178,12 +181,15 @@ class HyParViewProtocol(Protocol):
             if present is not None:
                 # Staleness is measured over the active-view slots of
                 # in-group nonfailed members, before this round's repairs.
-                rep_m, mem_m = np.nonzero(alive & present)
-                if rep_m.size:
-                    slots_view = active_view[rep_m, mem_m]
-                    stale = ~present[rep_m[:, None], slots_view]
-                    staleness.append(float(stale.mean()))
-                    stale_slot_rounds += int(stale.sum())
+                in_group = np.flatnonzero(alive & present)
+                if in_group.size:
+                    # View entries are member ids; add each row's replica
+                    # offset to address the peers' cells.
+                    peers = active_rows.take(in_group, axis=0)
+                    peers += (in_group - in_group % n)[:, None]
+                    stale = peers.size - int(np.count_nonzero(present.ravel()[peers]))
+                    staleness.append(stale / peers.size)
+                    stale_slot_rounds += stale
             transport.rounds += active
             holders = has_message & alive & active[:, None]
             if present is not None:
@@ -226,14 +232,16 @@ class HyParViewProtocol(Protocol):
             # message each (booked, never lost or delayed).
             if transport.round_index % self.shuffle_interval == 0:
                 participants = alive if present is None else alive & present
-                rep_s, mem_s = np.nonzero(participants)
-                if rep_s.size:
-                    slot = rng.integers(active_size, size=rep_s.size)
-                    pick = rng.integers(passive_size, size=rep_s.size)
-                    swapped_out = active_view[rep_s, mem_s, slot].copy()
-                    active_view[rep_s, mem_s, slot] = passive_view[rep_s, mem_s, pick]
-                    passive_view[rep_s, mem_s, pick] = swapped_out
-                    transport.sent += np.bincount(rep_s, minlength=repetitions)
+                shufflers = np.flatnonzero(participants)
+                if shufflers.size:
+                    slot = shufflers * active_size + rng.integers(active_size, size=shufflers.size)
+                    pick = shufflers * passive_size + rng.integers(
+                        passive_size, size=shufflers.size
+                    )
+                    swapped_out = active_flat[slot]
+                    active_flat[slot] = passive_flat[pick]
+                    passive_flat[pick] = swapped_out
+                    transport.sent += participants.sum(axis=1)
         # Pushes still in flight at the horizon arrive anyway.
         transport.drain(has_flat, alive_flat)
         self.last_batch_stats = {

@@ -74,18 +74,28 @@ def delivery_percentiles(
     return out
 
 
+def _concatenate_aux(parts: list) -> np.ndarray:
+    """Concatenate the aux arrays of ``(cells, times, aux)`` parts; a missing one reads as zeros."""
+    return np.concatenate(
+        [p[2] if p[2] is not None else np.zeros(p[0].size, dtype=np.int64) for p in parts]
+    )
+
+
 class DeliveryTimePlane:
     """Per-member delivery clocks plus time-buckets for in-flight messages.
 
     One plane instance serves one batched execution of ``R`` replicas over
     ``n`` members.  Its batch's transport drives it through four verbs:
 
-    ``schedule(round_index, cells, rng, channel=, aux=)``
+    ``schedule(round_index, cells, rng, channel=, aux=, present=)``
         Draw one latency per cell (through
         :meth:`~repro.simulation.network.NetworkModel.draw_latency_batch`,
-        so ``total_latency`` stays correct), bucket the slow ones, and
-        return the batch *processable this round*: everything previously
-        bucketed for ``round_index`` plus this call's same-round arrivals.
+        so ``total_latency`` stays correct), bucket the late ones (those
+        with ``delay / round_period > 1``), and return the batch
+        *processable this round*: everything previously bucketed for
+        ``round_index`` plus this call's same-round arrivals.  With a
+        presence mask, matured messages whose addressee is absent are
+        dropped on landing; this call's own cells are not re-checked.
         Call it once per round per channel — with an empty ``cells`` when
         the protocol sent nothing but bucketed messages may be due.
 
@@ -158,6 +168,7 @@ class DeliveryTimePlane:
         *,
         channel: str = "payload",
         aux: np.ndarray | None = None,
+        present: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Launch ``cells`` in round ``round_index``; return what is due now.
 
@@ -166,6 +177,16 @@ class DeliveryTimePlane:
         is previously bucketed messages maturing this round followed by
         this call's same-round arrivals; in the constant fast path it is
         exactly the input (order preserved, no copies beyond the times).
+
+        A message is late when ``delay / round_period > 1``, the same
+        decision as ``max(1, ceil(delay / round_period)) > 1`` for every
+        finite non-negative delay; only the late ones are bucketed, by a
+        stable sort on their processing round.  ``present`` is an optional
+        flat presence mask over the cells: matured messages whose addressee
+        is absent are dropped on landing (they still leave the pending
+        counters).  It applies to matured messages only, because this
+        call's own cells were sent this round and already checked against
+        the same mask.
         """
         cells = np.asarray(cells, dtype=np.int64)
         delays = self.network.draw_latency_batch(rng, cells.size)
@@ -173,54 +194,58 @@ class DeliveryTimePlane:
         if self.constant_fast_path:
             return cells, times, aux
 
-        if cells.size:
-            rounds_delay = np.ceil(delays / self.round_period).astype(np.int64)
-            np.maximum(rounds_delay, 1, out=rounds_delay)
-            due_now = rounds_delay == 1
-        else:
-            due_now = np.zeros(0, dtype=bool)
-
         channel_buckets = self._buckets.setdefault(channel, {})
-        if cells.size and not due_now.all():
-            late = ~due_now
-            late_cells = cells[late]
-            process_rounds = round_index + rounds_delay[late] - 1
-            late_times = times[late]
-            late_aux = aux[late] if aux is not None else None
-            order = np.argsort(process_rounds, kind="stable")
-            bounds = np.flatnonzero(np.diff(process_rounds[order])) + 1
-            for chunk in np.split(order, bounds):
-                key = int(process_rounds[chunk[0]])
-                channel_buckets.setdefault(key, []).append(
-                    (
-                        late_cells[chunk],
-                        late_times[chunk],
-                        late_aux[chunk] if late_aux is not None else None,
+        if cells.size:
+            spans = delays / self.round_period
+            is_late = spans > 1.0
+            late = np.flatnonzero(is_late)
+            if late.size:
+                process_rounds = round_index - 1 + np.ceil(spans[late]).astype(np.int64)
+                order = np.argsort(process_rounds, kind="stable")
+                rounds_sorted = process_rounds[order]
+                late = late[order]
+                late_cells, late_times = cells[late], times[late]
+                late_aux = None if aux is None else aux[late]
+                bounds = (np.flatnonzero(np.diff(rounds_sorted)) + 1).tolist()
+                for lo, hi in zip([0, *bounds], [*bounds, late.size]):
+                    channel_buckets.setdefault(int(rounds_sorted[lo]), []).append(
+                        (
+                            late_cells[lo:hi],
+                            late_times[lo:hi],
+                            None if late_aux is None else late_aux[lo:hi],
+                        )
                     )
+                self._pending_per_replica += np.bincount(
+                    late_cells // self.n, minlength=self.repetitions
                 )
-            self._pending_per_replica += np.bincount(
-                late_cells // self.n, minlength=self.repetitions
-            )
-            cells, times = cells[due_now], times[due_now]
-            aux = aux[due_now] if aux is not None else None
+                due = np.flatnonzero(~is_late)
+                cells, times = cells[due], times[due]
+                aux = None if aux is None else aux[due]
 
         matured = channel_buckets.pop(round_index, None)
         if not matured:
             return cells, times, aux
-        parts = matured + [(cells, times, aux)] if cells.size else matured
-        due_cells = np.concatenate([p[0] for p in parts])
-        due_times = np.concatenate([p[1] for p in parts])
-        if aux is not None or any(p[2] is not None for p in matured):
-            due_aux = np.concatenate(
-                [p[2] if p[2] is not None else np.zeros(p[0].size, dtype=np.int64) for p in parts]
-            )
-        else:
-            due_aux = None
         matured_cells = np.concatenate([p[0] for p in matured])
         self._pending_per_replica -= np.bincount(
             matured_cells // self.n, minlength=self.repetitions
         )
-        return due_cells, due_times, due_aux
+        matured_times = np.concatenate([p[1] for p in matured])
+        carries_aux = aux is not None or any(p[2] is not None for p in matured)
+        matured_aux = _concatenate_aux(matured) if carries_aux else None
+        if present is not None:
+            landed = np.flatnonzero(present[matured_cells])
+            matured_cells, matured_times = matured_cells[landed], matured_times[landed]
+            matured_aux = None if matured_aux is None else matured_aux[landed]
+        if not cells.size:
+            return matured_cells, matured_times, matured_aux
+        if matured_aux is not None:
+            own_aux = aux if aux is not None else np.zeros(cells.size, dtype=np.int64)
+            aux = np.concatenate((matured_aux, own_aux))
+        return (
+            np.concatenate((matured_cells, cells)),
+            np.concatenate((matured_times, times)),
+            aux,
+        )
 
     def pending_mask(self) -> np.ndarray:
         """``(R,)`` bool: replicas with messages still in flight (any channel)."""
@@ -248,12 +273,7 @@ class DeliveryTimePlane:
         channel_buckets.clear()
         cells = np.concatenate([p[0] for p in parts])
         times = np.concatenate([p[1] for p in parts])
-        if any(p[2] is not None for p in parts):
-            aux = np.concatenate(
-                [p[2] if p[2] is not None else np.zeros(p[0].size, dtype=np.int64) for p in parts]
-            )
-        else:
-            aux = None
+        aux = _concatenate_aux(parts) if any(p[2] is not None for p in parts) else None
         self._pending_per_replica -= np.bincount(cells // self.n, minlength=self.repetitions)
         return cells, times, aux
 

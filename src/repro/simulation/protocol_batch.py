@@ -256,10 +256,10 @@ def sample_group_targets_batch(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     ks = np.full(mem_idx.size, k, dtype=np.int64)
-    matrix, valid = sample_distinct_rows_excluding(rng, n, ks, mem_idx)
-    targets = matrix[valid].astype(np.int64, copy=False)
+    # Every row draws the same k, so every slot of the matrix is valid.
+    matrix, _ = sample_distinct_rows_excluding(rng, n, ks, mem_idx)
     target_replica = np.repeat(rep_idx, k)
-    return target_replica * n + targets, target_replica
+    return target_replica * n + matrix.ravel(), target_replica
 
 
 def simulate_protocol_batch(

@@ -152,7 +152,8 @@ class Transport:
             keep = here if keep is None else keep & here
         if keep is None:
             return cells, aux
-        return cells[keep], None if aux is None else aux[keep]
+        kept = np.flatnonzero(keep)
+        return cells[kept], None if aux is None else aux[kept]
 
     def arrive(
         self, cells: np.ndarray, *, channel: str = "payload", aux: np.ndarray | None = None
@@ -164,18 +165,22 @@ class Transport:
         against that round's membership; ``aux`` travels with its cells.
         ``times`` is ``None`` without a latency plane, where everything lands
         in the round it is sent.
+
+        Precondition: ``cells`` survived :meth:`send` in this same round
+        (every hook calls ``send`` and then ``arrive`` before
+        :meth:`next_round`).  Their addressees were present at ``send``, so
+        only messages maturing from an earlier round are checked on landing.
         """
         if self.plane is None:
             return cells, None, aux
-        cells, times, aux = self.plane.schedule(
-            max(self.round_index - 1, 0), cells, self.rng, channel=channel, aux=aux
+        return self.plane.schedule(
+            max(self.round_index - 1, 0),
+            cells,
+            self.rng,
+            channel=channel,
+            aux=aux,
+            present=self._present_flat,
         )
-        if self._present_flat is not None and cells.size:
-            here = self._present_flat[cells]
-            cells, times = cells[here], times[here]
-            if aux is not None:
-                aux = aux[here]
-        return cells, times, aux
 
     # -------------------------------------------------------------- payloads
 
@@ -192,10 +197,10 @@ class Transport:
         Marks them in the flat ``holds`` mask, records their arrival times
         and returns their cells.
         """
-        fresh = alive[cells] & ~holds[cells]
-        if self.plane is not None and times is not None:
-            self.plane.record(cells[fresh], times[fresh])
+        fresh = np.flatnonzero(alive[cells] & ~holds[cells])
         cells = cells[fresh]
+        if self.plane is not None and times is not None:
+            self.plane.record(cells, times[fresh])
         holds[cells] = True
         return cells
 

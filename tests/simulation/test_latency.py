@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from repro.core.distributions import FixedFanout
@@ -23,6 +27,7 @@ from repro.simulation.network import (
     latency_exponential,
     latency_uniform,
 )
+from tests.reference import latency_plane
 
 
 class TestPercentileHelpers:
@@ -134,6 +139,104 @@ class TestDeliveryTimePlane:
         delays = plane.draw(rng, 8)
         np.testing.assert_allclose(delays, 0.25)
         assert network.total_latency == pytest.approx(2.0)
+
+
+@dataclass(frozen=True)
+class GridLatency:
+    """Delays drawn uniformly from a few values; puts delays of exactly T among shorter ones."""
+
+    values: tuple[float, ...]
+    is_constant: ClassVar[bool] = False
+
+    def __call__(self, rng: np.random.Generator) -> float:
+        return float(rng.choice(self.values))
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.choice(np.asarray(self.values), count)
+
+
+def parity_sampler(kind: str, round_period: float):
+    """A latency law scaled to the round period: all due, mixed, or all late."""
+    if kind == "exact":  # every delay is exactly T: due in the round it is sent
+        return latency_uniform(round_period, round_period)
+    if kind == "grid":  # due and late mixed, with delays of exactly T among the due
+        return GridLatency(tuple(k * round_period for k in (0.0, 0.5, 1.0, 1.0, 2.0, 3.5)))
+    if kind == "uniform":
+        return latency_uniform(0.0, 3.5 * round_period)
+    if kind == "exponential":
+        return latency_exponential(1.2 * round_period)
+    return latency_constant(2.0 * round_period)  # a constant above T: all late
+
+
+def assert_same_leg(got, want):
+    """Equal cells, float.hex-equal times and equal aux (``None`` where ``None``)."""
+    (cells, times, aux), (ref_cells, ref_times, ref_aux) = got, want
+    assert cells.dtype == ref_cells.dtype
+    np.testing.assert_array_equal(cells, ref_cells)
+    assert [t.hex() for t in times.tolist()] == [t.hex() for t in ref_times.tolist()]
+    assert (aux is None) == (ref_aux is None)
+    if aux is not None:
+        assert aux.dtype == ref_aux.dtype
+        np.testing.assert_array_equal(aux, ref_aux)
+
+
+class TestPlaneParity:
+    """The one-pass plane lands exactly what the two-pass reference lands."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        round_period=st.sampled_from((0.3, 1.0, 2.5)),
+        kind=st.sampled_from(("exact", "grid", "uniform", "exponential", "constant")),
+        churn=st.booleans(),
+        repetitions=st.integers(1, 4),
+        n=st.integers(2, 30),
+        rounds=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_schedule_equals_reference(
+        self, round_period, kind, churn, repetitions, n, rounds, seed
+    ):
+        sampler = parity_sampler(kind, round_period)
+        plane = DeliveryTimePlane(
+            NetworkModel(latency=sampler), repetitions, n, round_period=round_period
+        )
+        reference = latency_plane.ReferenceDeliveryTimePlane(
+            NetworkModel(latency=sampler), repetitions, n, round_period=round_period
+        )
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        legs = np.random.default_rng(seed + 1)  # the test's own draws
+        cells_total = repetitions * n
+        next_id = 0
+        for round_index in range(rounds):
+            present = legs.random(cells_total) < 0.7 if churn else None
+            for channel in ("payload", "digest"):
+                size = int(legs.choice([0, 1, int(legs.integers(2, 80))]))
+                cells = legs.integers(0, cells_total, size=size)
+                if present is not None:
+                    cells = cells[present[cells]]  # what Transport.send lets through
+                aux = None
+                if legs.random() < 0.5:
+                    aux = np.arange(next_id, next_id + cells.size, dtype=np.int64)
+                    next_id += cells.size
+                got = plane.schedule(
+                    round_index, cells, rng, channel=channel, aux=aux, present=present
+                )
+                want = latency_plane.arrive(
+                    reference,
+                    round_index,
+                    cells,
+                    ref_rng,
+                    present=present,
+                    channel=channel,
+                    aux=aux,
+                )
+                assert_same_leg(got, want)
+                np.testing.assert_array_equal(plane.pending_mask(), reference.pending_mask())
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for channel in ("payload", "digest"):
+            assert_same_leg(plane.drain(channel), reference.drain(channel))
+        assert not plane.pending_mask().any()
+        assert plane.network.total_latency == reference.network.total_latency
 
 
 class TestTotalLatencyAccounting:
