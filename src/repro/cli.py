@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from typing import Callable, Sequence, TypeVar
 
@@ -58,15 +59,50 @@ def _parse_scale(raw: str) -> float:
     return scale
 
 
-def _parse_cache_size(raw: str) -> int:
-    """Parse ``--cache-size``: an integer >= 1."""
+def _integer(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= ``minimum``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _number(raw: str) -> float:
+    """Parse a float, refusing text that is not one as an argparse type error."""
     try:
-        size = int(raw)
+        return float(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
-    if size < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {size}")
-    return size
+        raise argparse.ArgumentTypeError(f"must be a number, got {raw!r}") from None
+
+
+def _positive(raw: str) -> float:
+    """An argparse type: a finite number > 0."""
+    value = _number(raw)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw!r}")
+    return value
+
+
+def _probability(*, zero: bool = True, one: bool = True) -> Callable[[str], float]:
+    """An argparse type: a probability, with each end of [0, 1] closed or open."""
+    interval = ("[0, " if zero else "(0, ") + ("1]" if one else "1)")
+
+    def parse(raw: str) -> float:
+        value = _number(raw)
+        lo_ok = value > 0.0 or (zero and value == 0.0)
+        hi_ok = value < 1.0 or (one and value == 1.0)
+        if not (lo_ok and hi_ok):  # NaN fails both
+            raise argparse.ArgumentTypeError(f"must be a probability in {interval}, got {raw!r}")
+        return value
+
+    return parse
 
 
 def _refused(exc: Exception) -> int:
@@ -99,26 +135,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--members", "-n", type=int, default=1000, help="group size n")
-        p.add_argument("--fanout", "-f", type=float, default=4.0, help="mean fanout")
+        p.add_argument("--members", "-n", type=_integer(2), default=1000, help="group size n")
+        p.add_argument("--fanout", "-f", type=_positive, default=4.0, help="mean fanout")
         p.add_argument(
             "--family",
             choices=["poisson", "fixed", "geometric", "uniform"],
             default="poisson",
             help="fanout distribution family",
         )
-        p.add_argument("--alive-ratio", "-q", type=float, default=0.9, help="nonfailed member ratio q")
+        p.add_argument(
+            "--alive-ratio", "-q", type=_probability(), default=0.9, help="nonfailed member ratio q"
+        )
 
     analyze = sub.add_parser("analyze", help="analytical model of one configuration")
     add_model_arguments(analyze)
     analyze.add_argument(
-        "--success-target", type=float, default=0.999, help="required success probability (Eq. 6)"
+        "--success-target", type=_probability(one=False), default=0.999,
+        help="required success probability (Eq. 6)",
     )
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo estimate of one configuration")
     add_model_arguments(simulate)
-    simulate.add_argument("--repetitions", type=int, default=20, help="independent executions")
-    simulate.add_argument("--seed", type=int, default=None, help="RNG seed")
+    simulate.add_argument(
+        "--repetitions", type=_integer(1), default=20, help="independent executions"
+    )
+    simulate.add_argument("--seed", type=_integer(0), default=None, help="RNG seed")
     simulate.add_argument(
         "--conditional",
         action="store_true",
@@ -126,15 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     design = sub.add_parser("design", help="dimension fanout and repeats for a target")
-    design.add_argument("--members", "-n", type=int, default=1000, help="group size n")
+    design.add_argument("--members", "-n", type=_integer(2), default=1000, help="group size n")
     design.add_argument(
-        "--reliability", type=float, default=0.99, help="per-execution reliability target"
+        "--reliability", type=_probability(zero=False, one=False), default=0.99,
+        help="per-execution reliability target",
     )
     design.add_argument(
-        "--max-failed", type=float, default=0.2, help="worst-case failed fraction to tolerate"
+        "--max-failed", type=_probability(one=False), default=0.2,
+        help="worst-case failed fraction to tolerate",
     )
     design.add_argument(
-        "--success-target", type=float, default=0.999, help="per-member delivery target after repeats"
+        "--success-target", type=_probability(one=False), default=0.999,
+        help="per-member delivery target after repeats",
     )
 
     experiment = sub.add_parser("experiment", help="regenerate one of the paper's figures")
@@ -150,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "--scale",
-        type=float,
+        type=_parse_scale,
         default=1.0,
-        help="shrink group size / repetitions for a quick run (default: paper scale)",
+        help="shrink group size / repetitions by a factor in (0, 1] (default: paper scale)",
     )
 
     run = sub.add_parser(
@@ -191,33 +235,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="surface protocol: gossip-<family> (horizon-free) or a protocol-zoo id",
     )
     build_surface.add_argument(
-        "--members", "-n", type=_csv(int), default=(1000,), help="group sizes, comma-separated"
+        "--members", "-n", type=_csv(_integer(2)), default=(1000,),
+        help="group sizes, comma-separated",
     )
     build_surface.add_argument(
-        "--alive-ratios", "-q", type=_csv(float), default=(0.7, 0.8, 0.9, 1.0),
+        "--alive-ratios", "-q", type=_csv(_probability(zero=False)), default=(0.7, 0.8, 0.9, 1.0),
         help="nonfailed ratios q, comma-separated",
     )
     build_surface.add_argument(
-        "--losses", type=_csv(float), default=(0.0, 0.1, 0.2),
+        "--losses", type=_csv(_probability(one=False)), default=(0.0, 0.1, 0.2),
         help="per-message loss probabilities, comma-separated",
     )
     build_surface.add_argument(
-        "--fanouts", type=_csv(float), default=(1.5, 2.5, 4.0, 6.0, 9.0),
+        "--fanouts", type=_csv(_positive), default=(1.5, 2.5, 4.0, 6.0, 9.0),
         help="mean fanouts, comma-separated",
     )
     build_surface.add_argument(
-        "--rounds", type=_csv(int), default=None,
+        "--rounds", type=_csv(_integer(0)), default=None,
         help="round horizons for protocol surfaces (omit for horizon-free gossip)",
     )
     build_surface.add_argument(
-        "--repetitions", type=int, default=96, help="Monte-Carlo replicas per cell"
+        "--repetitions", type=_integer(2), default=96, help="Monte-Carlo replicas per cell"
     )
     build_surface.add_argument(
-        "--confidence", type=float, default=0.95, help="per-cell Wilson coverage"
+        "--confidence", type=_probability(zero=False, one=False), default=0.95,
+        help="per-cell Wilson coverage",
     )
-    build_surface.add_argument("--seed", type=int, default=0, help="RNG seed")
+    build_surface.add_argument("--seed", type=_integer(0), default=0, help="RNG seed")
     build_surface.add_argument(
-        "--processes", type=int, default=1, help="worker processes (0 = all cores)"
+        "--processes", type=_integer(0), default=1, help="worker processes (0 = all cores)"
     )
 
     query = sub.add_parser(
@@ -252,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("surface", help="surface artifact path (as given to build-surface)")
     serve.add_argument(
-        "--cache-size", type=_parse_cache_size, default=4096,
+        "--cache-size", type=_integer(1), default=4096,
         help="LRU query-cache capacity (>= 1)",
     )
 

@@ -45,6 +45,49 @@ class TestParser:
             build_parser().parse_args(["run", "not_an_experiment"])
 
 
+class TestArgumentValidation:
+    """Out-of-range values are usage errors: exit 2 and one line naming the flag."""
+
+    @pytest.mark.parametrize(
+        ("argv", "flag"),
+        [
+            (["simulate", "-n", "0"], "--members/-n"),
+            (["simulate", "-q", "1.5"], "--alive-ratio/-q"),
+            (["simulate", "--repetitions", "0"], "--repetitions"),
+            (["simulate", "--seed", "-1"], "--seed"),
+            (["analyze", "-f", "nan"], "--fanout/-f"),
+            (["analyze", "-f", "inf"], "--fanout/-f"),
+            (["analyze", "-n", "1"], "--members/-n"),
+            (["analyze", "--success-target", "1"], "--success-target"),
+            (["design", "--max-failed", "2"], "--max-failed"),
+            (["design", "--reliability", "1"], "--reliability"),
+            (["build-surface", "{out}", "-n", "0"], "--members/-n"),
+            (["build-surface", "{out}", "--confidence", "2"], "--confidence"),
+            (["build-surface", "{out}", "-q", "0.5,0"], "--alive-ratios/-q"),
+            (["build-surface", "{out}", "--losses", "1"], "--losses"),
+            (["build-surface", "{out}", "--repetitions", "1"], "--repetitions"),
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, argv, flag, tmp_path, capsys):
+        argv = [arg.format(out=tmp_path / "surface") for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        [line] = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert f"argument {flag}: " in line
+        assert not list(tmp_path.iterdir())
+
+    def test_closed_ends_are_accepted(self):
+        parse = build_parser().parse_args
+        assert parse(["analyze", "-q", "0", "--success-target", "0"]).alive_ratio == 0.0
+        assert parse(["simulate", "-q", "1", "--seed", "0"]).alive_ratio == 1.0
+        assert parse(["design", "--max-failed", "0"]).max_failed == 0.0
+        argv = ["build-surface", "out", "-n", "2", "-q", "1", "--losses", "0", "--rounds", "0"]
+        args = parse([*argv, "--processes", "0"])
+        assert (args.members, args.alive_ratios, args.losses) == ((2,), (1.0,), (0.0,))
+        assert (args.rounds, args.processes) == ((0,), 0)
+
+
 class TestAnalyze:
     def test_prints_reliability(self, capsys):
         assert main(["analyze", "-n", "500", "-f", "4.0", "-q", "0.9"]) == 0
