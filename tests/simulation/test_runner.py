@@ -40,16 +40,17 @@ class TestEstimateReliability:
         assert 0.0 <= estimate.mean_reliability <= 1.0
 
     def test_parallel_path_gives_sensible_result(self):
-        estimate = estimate_reliability(
-            400,
-            PoissonFanout(4.0),
-            0.9,
-            repetitions=6,
-            seed=6,
-            processes=2,
-            conditional_on_spread=True,
+        # A chunk holds at most 327 replicas at n=400, so 400 replicas run as
+        # two chunks of 200, which processes=2 hands to worker processes.
+        kwargs = dict(repetitions=400, seed=6, conditional_on_spread=True)
+        serial = estimate_reliability(400, PoissonFanout(4.0), 0.9, processes=1, **kwargs)
+        estimate = estimate_reliability(400, PoissonFanout(4.0), 0.9, processes=2, **kwargs)
+        np.testing.assert_array_equal(estimate.samples, serial.samples)
+        assert (estimate.repetitions, estimate.mean_reliability) == (
+            serial.repetitions,
+            serial.mean_reliability,
         )
-        assert estimate.repetitions <= 6
+        assert estimate.repetitions <= 400
         assert estimate.mean_reliability == pytest.approx(poisson_reliability(4.0, 0.9), abs=0.05)
 
     def test_conditional_on_spread_matches_analysis_near_threshold(self):
