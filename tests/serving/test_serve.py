@@ -442,7 +442,7 @@ class TestServeLoop:
 class TestServingDoctests:
     """Run the serving layer's docstring examples as part of tier-1.
 
-    CI additionally runs ``pytest --doctest-modules src/repro/serving``;
+    CI additionally runs ``pytest --doctest-modules src/repro``;
     this keeps the examples honest even under the plain test command.
     """
 
