@@ -4,7 +4,8 @@ The paper motivates gossip against the protocols of its related-work section
 but never measures them.  This bench runs every baseline under the identical
 fault model (n members, fail-stop crashes with nonfailed ratio q, source never
 fails) and reports reliability, atomicity rate, message cost, and rounds, at
-two failure levels.
+two failure levels.  Each run is one execution of the protocol's scalar
+oracle (:func:`tests.reference.scalar_protocols.run`).
 
 Expected shape (asserted):
 
@@ -32,6 +33,7 @@ from repro.protocols import (
     RouteDrivenGossip,
 )
 from repro.utils.tables import format_table
+from tests.reference import scalar_protocols as reference
 
 
 def protocol_suite():
@@ -61,7 +63,7 @@ def run_protocol_comparison(n: int, repetitions: int, qs, seed: int = 20080149):
             messages = []
             rounds = []
             for rep in range(repetitions):
-                outcome = protocol.run(n, q, seed=seed + 97 * proto_index + rep)
+                outcome = reference.run(protocol, n, q, seed=seed + 97 * proto_index + rep)
                 reliabilities.append(outcome.reliability())
                 atomic.append(outcome.is_atomic())
                 messages.append(outcome.messages_per_member())

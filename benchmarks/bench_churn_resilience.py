@@ -5,7 +5,7 @@ Two measurements, both emitted into a ``BENCH_churn.json`` perf record
 regression gate:
 
 * ``test_hyparview_head_to_head`` races the HyParView-style peer-sampling
-  protocol's scalar reference (:meth:`repro.protocols.base.Protocol.run`
+  protocol's scalar oracle (:func:`tests.reference.scalar_protocols.run`
   looped over the replicas) against the batched engine
   (:func:`repro.simulation.protocol_batch.simulate_protocol_batch`) at zero
   churn.  The scalar hook maintains every member's active/passive views in a
@@ -34,6 +34,7 @@ from repro.experiments.protocol_comparison import protocol_zoo
 from repro.protocols.hyparview import HyParViewProtocol
 from repro.simulation.churn import PoissonChurnModel
 from repro.simulation.protocol_batch import simulate_protocol_batch
+from tests.reference import scalar_protocols as reference
 
 #: Shared perf record, filled by both tests and rewritten after each.
 _RECORD: dict = {"benchmark": "churn_plane"}
@@ -63,7 +64,7 @@ def test_hyparview_head_to_head():
         rng = np.random.default_rng(123)
         start = time.perf_counter()
         for _ in range(repetitions):
-            protocol.run(n, q, seed=rng)
+            reference.run(protocol, n, q, seed=rng)
         return time.perf_counter() - start
 
     def run_batch() -> float:

@@ -23,7 +23,7 @@ def test_fig4_reliability_1000_nodes(benchmark):
 
     print_banner(
         f"Figs. 4a/4b — Reliability vs mean fanout, n={config.n}, "
-        f"{config.repetitions} runs per point, {config.engine} engine"
+        f"{config.repetitions} runs per point"
     )
     print(result.to_table())
     print()

@@ -23,7 +23,7 @@ def test_fig5_reliability_5000_nodes(benchmark):
 
     print_banner(
         f"Figs. 5a/5b — Reliability vs mean fanout, n={config.n}, "
-        f"{config.repetitions} runs per point, {config.engine} engine"
+        f"{config.repetitions} runs per point"
     )
     print(result.to_table())
     print()

@@ -23,8 +23,7 @@ def test_fig6_success_distribution_f4_q09(benchmark):
 
     print_banner(
         f"Fig. 6 — Distribution of gossiping success, f=4.0, q=0.9, n={config.n}, "
-        f"{config.simulations} simulations x {config.executions} executions, "
-        f"{config.engine} engine"
+        f"{config.simulations} simulations x {config.executions} executions"
     )
     print(result.to_table())
     print()

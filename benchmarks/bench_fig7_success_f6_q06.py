@@ -24,8 +24,7 @@ def test_fig7_success_distribution_f6_q06(benchmark):
 
     print_banner(
         f"Fig. 7 — Distribution of gossiping success, f=6.0, q=0.6, n={config.n}, "
-        f"{config.simulations} simulations x {config.executions} executions, "
-        f"{config.engine} engine"
+        f"{config.simulations} simulations x {config.executions} executions"
     )
     print(result.to_table())
     print()

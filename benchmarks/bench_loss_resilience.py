@@ -1,7 +1,7 @@
 """Head-to-head benchmark of the vectorised lossy-network plane.
 
 ``test_loss_head_to_head`` races every bundled protocol's scalar lossy
-reference (:meth:`repro.protocols.base.Protocol.run` with a
+oracle (:func:`tests.reference.scalar_protocols.run` with a
 :class:`~repro.simulation.network.NetworkModel`, looped over the replicas)
 against the batched lossy engine
 (:func:`repro.simulation.protocol_batch.simulate_protocol_batch` with the
@@ -30,6 +30,7 @@ from _bench_utils import bench_scale, print_banner, scaled
 from repro.experiments.protocol_comparison import protocol_zoo
 from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import simulate_protocol_batch
+from tests.reference import scalar_protocols as reference
 
 
 def test_loss_head_to_head():
@@ -54,7 +55,7 @@ def test_loss_head_to_head():
             network = NetworkModel(loss_probability=loss)
             start = time.perf_counter()
             for _ in range(repetitions):
-                protocol.run(n, q, seed=rng, network=network)
+                reference.run(protocol, n, q, seed=rng, network=network)
             return time.perf_counter() - start
 
         def run_batch() -> float:

@@ -2,8 +2,9 @@
 
 These are conventional pytest-benchmark timings (many rounds, statistical
 reporting) rather than figure reproductions: the percolation fixed-point
-solver, a single gossip execution at n = 1000 and n = 5000, the batched
-replica engine, the configuration model builder, and the reachability kernel.
+solver, a single execution of the scalar gossip oracle
+(``tests/reference/scalar_protocols.py``) at n = 1000 and n = 5000, the
+batched replica engine, the configuration model builder, and the reachability kernel.
 They exist so performance regressions in the simulator show up in CI next to
 the reproduction harness.
 
@@ -30,7 +31,8 @@ from repro.core.percolation import giant_component_size
 from repro.core.poisson_case import poisson_reliability
 from repro.graphs.components import reachable_from
 from repro.graphs.configuration_model import configuration_model_edges
-from repro.simulation.gossip import simulate_gossip_batch, simulate_gossip_once
+from repro.simulation.gossip import simulate_gossip_batch
+from tests.reference.scalar_protocols import simulate_gossip_once
 
 
 def test_percolation_solver_poisson_closed_form(benchmark):

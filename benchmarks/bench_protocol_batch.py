@@ -1,7 +1,7 @@
 """Head-to-head benchmark of the batched multi-protocol engine.
 
 ``test_protocol_head_to_head`` races every bundled protocol's scalar
-reference (:meth:`repro.protocols.base.Protocol.run`, looped over the
+oracle (:func:`tests.reference.scalar_protocols.run`, looped over the
 replicas) against the batched engine
 (:func:`repro.simulation.protocol_batch.simulate_protocol_batch`) on the
 Fig. 5-sized workload (n = 5000, 20 replicas, q = 0.9), prints the per-
@@ -34,6 +34,7 @@ from repro.protocols import (
     RouteDrivenGossip,
 )
 from repro.simulation.protocol_batch import simulate_protocol_batch
+from tests.reference import scalar_protocols as reference
 
 
 def _protocol_zoo():
@@ -66,7 +67,7 @@ def test_protocol_head_to_head():
             rng = np.random.default_rng(123)
             start = time.perf_counter()
             for _ in range(repetitions):
-                protocol.run(n, q, seed=rng)
+                reference.run(protocol, n, q, seed=rng)
             return time.perf_counter() - start
 
         def run_batch() -> float:

@@ -1,7 +1,8 @@
 """Benchmarks of the two-phase recovery protocols (lazy-push, anti-entropy).
 
-Both measurements race the scalar reference (:meth:`Protocol.run` looped
-over the replicas) against the batched array program
+Both measurements race the scalar oracle
+(:func:`tests.reference.scalar_protocols.run` looped over the replicas)
+against the batched array program
 (:func:`repro.simulation.protocol_batch.simulate_protocol_batch`) under a
 moderately lossy channel — the regime the recovery plane exists for, and
 the one that stresses its extra legs (IHAVE digests, IWANT round trips,
@@ -27,6 +28,7 @@ from _bench_utils import bench_scale, print_banner, scaled
 from repro.protocols import AntiEntropyProtocol, LazyPushProtocol
 from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import simulate_protocol_batch
+from tests.reference import scalar_protocols as reference
 
 #: Shared perf record, filled per protocol and rewritten after each.
 _RECORD: dict = {"benchmark": "recovery_protocols"}
@@ -55,7 +57,7 @@ def _head_to_head(name: str, protocol, *, loss: float) -> None:
         network = NetworkModel(loss_probability=loss)
         start = time.perf_counter()
         for _ in range(repetitions):
-            protocol.run(n, q, seed=rng, network=network)
+            reference.run(protocol, n, q, seed=rng, network=network)
         return time.perf_counter() - start
 
     def run_batch() -> float:

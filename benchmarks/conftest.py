@@ -24,8 +24,10 @@ from pathlib import Path
 
 import pytest
 
-# Make `from _bench_utils import ...` work regardless of how pytest was invoked.
+# Make `from _bench_utils import ...` and the scalar oracles in
+# `tests.reference` importable regardless of how pytest was invoked.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
 from _bench_utils import bench_scale  # noqa: E402
 

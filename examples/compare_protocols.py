@@ -43,20 +43,17 @@ def main() -> None:
 
     rows = []
     for label, protocol in protocols:
-        reliabilities, atomic, msgs, rounds = [], [], [], []
-        for rep in range(REPETITIONS):
-            outcome = protocol.run(GROUP_SIZE, NONFAILED_RATIO, seed=1000 + rep)
-            reliabilities.append(outcome.reliability())
-            atomic.append(outcome.is_atomic())
-            msgs.append(outcome.messages_per_member())
-            rounds.append(outcome.rounds)
+        # All runs of one protocol advance together as one replica batch.
+        batch = protocol.run_batch(
+            GROUP_SIZE, NONFAILED_RATIO, repetitions=REPETITIONS, seed=1000
+        )
         rows.append(
             (
                 label,
-                float(np.mean(reliabilities)),
-                float(np.mean(atomic)),
-                float(np.mean(msgs)),
-                float(np.mean(rounds)),
+                float(np.mean(batch.reliability())),
+                float(np.mean(batch.is_atomic())),
+                float(np.mean(batch.messages_per_member())),
+                float(np.mean(batch.rounds)),
             )
         )
 

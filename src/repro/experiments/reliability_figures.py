@@ -17,7 +17,7 @@ from repro.analysis.compare import SeriesComparison, compare_sweep
 from repro.analysis.tables import comparison_to_table, sweep_to_table
 from repro.core.poisson_case import poisson_critical_fanout
 from repro.simulation.runner import SweepResult, reliability_sweep
-from repro.utils.validation import check_choice, check_integer
+from repro.utils.validation import check_integer
 
 __all__ = ["ReliabilityFigureConfig", "ReliabilityFigureResult", "run_reliability_figure", "paper_fanout_grid"]
 
@@ -48,9 +48,6 @@ class ReliabilityFigureConfig:
         :func:`repro.simulation.runner.estimate_reliability`.
     seed:
         Base seed for reproducibility.
-    engine:
-        Simulation engine: ``"batch"`` (default, replica-parallel) or
-        ``"scalar"`` (per-replica reference).
     processes:
         Worker processes (1 = serial; ``None`` = auto).  The sweep maps
         whole cells over the pool, so the pool size never changes a number.
@@ -63,13 +60,11 @@ class ReliabilityFigureConfig:
     repetitions: int = 20
     conditional_on_spread: bool = True
     seed: int = 20080149
-    engine: str = "batch"
     processes: int | None = 1
 
     def __post_init__(self) -> None:
         check_integer("n", self.n, minimum=2)
         check_integer("repetitions", self.repetitions, minimum=1)
-        check_choice("engine", self.engine, ("batch", "scalar"))
 
     def all_qs(self) -> tuple:
         """Return the union of both panels' ratios, sorted and de-duplicated."""
@@ -85,7 +80,6 @@ class ReliabilityFigureConfig:
             repetitions=repetitions if repetitions is not None else self.repetitions,
             conditional_on_spread=self.conditional_on_spread,
             seed=self.seed,
-            engine=self.engine,
             processes=self.processes,
         )
 
@@ -175,7 +169,6 @@ def run_reliability_figure(config: ReliabilityFigureConfig) -> ReliabilityFigure
         repetitions=config.repetitions,
         seed=config.seed,
         conditional_on_spread=config.conditional_on_spread,
-        engine=config.engine,
         processes=config.processes,
     )
     comparisons: dict[float, SeriesComparison] = compare_sweep(sweep)

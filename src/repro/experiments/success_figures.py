@@ -21,7 +21,7 @@ from repro.core.distributions import PoissonFanout
 from repro.core.success import min_executions
 from repro.simulation.metrics import SuccessCountResult
 from repro.simulation.rounds import simulate_success_counts
-from repro.utils.validation import check_choice, check_integer, check_probability
+from repro.utils.validation import check_integer, check_probability
 
 __all__ = ["SuccessFigureConfig", "SuccessFigureResult", "run_success_figure"]
 
@@ -50,10 +50,6 @@ class SuccessFigureConfig:
         Condition each trial on the gossip taking off, matching the paper's
         use of the analytical reliability as the Bernoulli success
         probability (see DESIGN.md's numerical conventions).
-    engine:
-        Simulation engine: ``"batch"`` (default) runs all
-        ``simulations × executions`` trials as one replica batch;
-        ``"scalar"`` keeps the per-trial reference loop.
     """
 
     n: int = 2000
@@ -65,7 +61,6 @@ class SuccessFigureConfig:
     mode: str = "per_member"
     condition_on_spread: bool = True
     seed: int = 20080156
-    engine: str = "batch"
 
     def __post_init__(self) -> None:
         check_integer("n", self.n, minimum=2)
@@ -73,7 +68,6 @@ class SuccessFigureConfig:
         check_integer("simulations", self.simulations, minimum=1)
         check_probability("q", self.q)
         check_probability("required_success", self.required_success, allow_one=False)
-        check_choice("engine", self.engine, ("batch", "scalar"))
 
     def scaled(self, *, n: int | None = None, simulations: int | None = None) -> "SuccessFigureConfig":
         """Return a copy with a smaller group / fewer simulations (for quick runs)."""
@@ -87,7 +81,6 @@ class SuccessFigureConfig:
             mode=self.mode,
             condition_on_spread=self.condition_on_spread,
             seed=self.seed,
-            engine=self.engine,
         )
 
 
@@ -149,7 +142,6 @@ def run_success_figure(config: SuccessFigureConfig) -> SuccessFigureResult:
         mode=config.mode,
         condition_on_spread=config.condition_on_spread,
         seed=config.seed,
-        engine=config.engine,
     )
     fit = fit_binomial(counts.counts, config.executions, counts.analytical_reliability)
     chi_square = chi_square_binomial_test(

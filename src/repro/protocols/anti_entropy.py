@@ -27,8 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.membership import sample_distinct
-from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import sample_group_targets_batch
 from repro.simulation.transport import Transport
 from repro.utils.validation import check_integer
@@ -44,49 +42,6 @@ class AntiEntropyProtocol(Protocol):
     def __init__(self, fanout: int = 2, rounds: int = 8) -> None:
         self.fanout = check_integer("fanout", fanout, minimum=1)
         self.rounds = check_integer("rounds", rounds, minimum=0)
-
-    def _disseminate(
-        self,
-        n: int,
-        alive: np.ndarray,
-        source: int,
-        rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int, int]:
-        has_message = np.zeros(n, dtype=bool)
-        has_message[source] = True
-        messages = 0
-        control = 0
-        rounds_executed = 0
-        for _ in range(self.rounds):
-            if bool(np.all(has_message[alive])):
-                break
-            rounds_executed += 1
-            # Reconciliation decisions use the round-start state, so the
-            # scalar member loop and the batched array program share one law
-            # (duplicate transfers to the same recipient are all counted).
-            snapshot = has_message.copy()
-            newly: list[int] = []
-            for member in np.flatnonzero(alive):
-                member = int(member)
-                peers = sample_distinct(rng, n, self.fanout, exclude=member)
-                messages += int(peers.size)  # digests
-                control += int(peers.size)
-                if network is not None:
-                    peers = peers[network.draw_loss(rng, peers.size)]
-                for peer in peers:
-                    peer = int(peer)
-                    if not alive[peer]:
-                        continue
-                    if snapshot[member] == snapshot[peer]:
-                        continue  # nothing to reconcile
-                    recipient = peer if snapshot[member] else member
-                    messages += 1  # payload transfer (push or pull)
-                    if network is None or bool(network.draw_loss(rng, 1)[0]):
-                        newly.append(recipient)
-            if newly:
-                has_message[np.array(newly, dtype=np.int64)] = True
-        return has_message, messages, rounds_executed, control
 
     def _disseminate_batch(
         self,

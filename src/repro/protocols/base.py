@@ -8,41 +8,35 @@ interface this narrow is what makes the cross-protocol reliability/cost
 comparison (``repro run protocol_comparison`` and
 ``benchmarks/bench_baseline_protocols.py``) meaningful.
 
-Protocols execute at two granularities, through one hook each:
+A protocol implements one hook, :meth:`Protocol._disseminate_batch`, which
+propagates ``R`` independent executions as ``(R, n)`` array programs and
+sends every message over the batch's
+:class:`~repro.simulation.transport.Transport`.  Both entry points run it
+through :func:`repro.simulation.protocol_batch.simulate_protocol_batch`:
 
-* :meth:`Protocol.run` — one execution (the exact behavioural reference),
-  through the scalar :meth:`Protocol._disseminate`;
-* :meth:`Protocol.run_batch` — ``R`` independent executions propagated as
-  ``(R, n)`` array programs through
-  :func:`repro.simulation.protocol_batch.simulate_protocol_batch`, through
-  the batched :meth:`Protocol._disseminate_batch`, which sends every message
-  over the batch's :class:`~repro.simulation.transport.Transport`.
+* :meth:`Protocol.run_batch` — ``R`` executions as one batch;
+* :meth:`Protocol.run` — one execution, the one-replica view of
+  :meth:`Protocol.run_batch`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, TypeAlias
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.simulation.failures import FailureModel, FailurePattern, UniformCrashModel
+from repro.simulation.failures import FailureModel
 from repro.simulation.network import NetworkModel
-from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_integer, check_probability
+from repro.utils.rng import SeedLike
 
 if TYPE_CHECKING:
     from repro.simulation.churn import ChurnModel, ChurnScheduleBatch
     from repro.simulation.protocol_batch import BatchProtocolResult
     from repro.simulation.transport import Transport
 
-__all__ = ["DisseminateResult", "Protocol", "ProtocolResult"]
-
-#: What a scalar ``_disseminate`` hook returns: ``(delivered, messages,
-#: rounds, control_messages)``; protocols that only push payload report 0
-#: control messages.
-DisseminateResult: TypeAlias = "tuple[np.ndarray, int, int, int]"
+__all__ = ["Protocol", "ProtocolResult"]
 
 
 @dataclass(frozen=True)
@@ -112,11 +106,10 @@ class ProtocolResult:
 class Protocol(ABC):
     """Abstract baseline protocol.
 
-    Subclasses implement :meth:`_disseminate`, which receives the failure
-    pattern, an RNG and an optional network and returns ``(delivered,
-    messages_sent, rounds, control_messages)``, and
-    :meth:`_disseminate_batch`, its batched twin.  The shared :meth:`run`
-    and :meth:`run_batch` methods handle failure drawing and bookkeeping so
+    Subclasses implement :meth:`_disseminate_batch`, which receives the
+    ``(R, n)`` alive masks, an RNG and the batch's transport and returns the
+    ``(R, n)`` delivered masks.  The shared :meth:`run` and
+    :meth:`run_batch` methods handle failure drawing and bookkeeping so
     every protocol is evaluated under exactly the same fault model as the
     paper's algorithm.
     """
@@ -131,48 +124,30 @@ class Protocol(ABC):
         *,
         source: int = 0,
         seed: SeedLike = None,
-        failure_pattern: FailurePattern | None = None,
         failure_model: FailureModel | None = None,
         network: NetworkModel | None = None,
     ) -> ProtocolResult:
         """Disseminate one message through a group with fail-stop failures.
 
-        Failures come from ``failure_pattern`` when supplied, else from one
-        draw of ``failure_model`` (default: the paper's uniform-``q`` crash
-        model) — the same pluggable layer the batched engine uses.  An
-        optional ``network`` drops each point-to-point message independently
-        with ``network.loss_probability``; the model is reset on entry so its
-        counters (``messages_sent``, ``messages_dropped``, ``total_latency``)
-        describe exactly this execution and never leak across runs.
+        The one-replica view of :meth:`run_batch`: it returns
+        ``self.run_batch(n, q, repetitions=1, ...).result(0)``, so a run
+        reads the generator exactly as a one-replica batch does.  Failures
+        come from one draw of ``failure_model`` (default: the paper's
+        uniform-``q`` crash model).  An optional ``network`` applies its loss
+        law to every point-to-point message and, as in :meth:`run_batch`,
+        its latency plane on the unit round clock; the model is reset on
+        entry so its counters (``messages_sent``, ``messages_dropped``,
+        ``total_latency``) describe exactly this execution.
         """
-        n = check_integer("n", n, minimum=2)
-        q = check_probability("q", q)
-        source = check_integer("source", source, minimum=0, maximum=n - 1)
-        rng = as_generator(seed)
-        if failure_pattern is None:
-            model = failure_model if failure_model is not None else UniformCrashModel(q)
-            failure_pattern = model.draw(n, rng, source=source)
-        alive = failure_pattern.alive.copy()
-        alive[source] = True
-        if network is not None:
-            network.reset()
-        delivered, messages, rounds, control = self._disseminate(
-            n, alive, source, rng, network=network
-        )
-        dropped = network.messages_dropped if network is not None else 0
-        delivered = np.asarray(delivered, dtype=bool)
-        delivered &= alive  # failed members never count as delivered
-        delivered[source] = True
-        return ProtocolResult(
-            protocol=self.name,
-            n=n,
-            alive=alive,
-            delivered=delivered,
-            messages_sent=int(messages),
-            rounds=int(rounds),
-            messages_dropped=int(dropped),
-            control_messages_sent=int(control),
-        )
+        return self.run_batch(
+            n,
+            q,
+            repetitions=1,
+            source=source,
+            seed=seed,
+            failure_model=failure_model,
+            network=network,
+        ).result(0)
 
     def run_batch(
         self,
@@ -212,22 +187,6 @@ class Protocol(ABC):
             churn=churn,
             round_period=round_period,
         )
-
-    @abstractmethod
-    def _disseminate(
-        self,
-        n: int,
-        alive: np.ndarray,
-        source: int,
-        rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> DisseminateResult:
-        """Protocol-specific dissemination of one execution.
-
-        Returns ``(delivered mask, messages, rounds, control_messages)``.
-        ``network`` (when not ``None``) supplies the independent message-loss
-        law via :meth:`~repro.simulation.network.NetworkModel.draw_loss`.
-        """
 
     @abstractmethod
     def _disseminate_batch(

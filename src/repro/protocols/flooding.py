@@ -24,8 +24,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.protocols.base import Protocol
-from repro.simulation.membership import sample_distinct
-from repro.simulation.network import NetworkModel
 from repro.simulation.transport import Transport
 from repro.utils.sampling import sample_distinct_rows_excluding, unique_unseen
 from repro.utils.validation import check_integer
@@ -41,47 +39,6 @@ class FloodingProtocol(Protocol):
     def __init__(self, degree: int = 4) -> None:
         self.degree = check_integer("degree", degree, minimum=1)
 
-    def _disseminate(
-        self,
-        n: int,
-        alive: np.ndarray,
-        source: int,
-        rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int, int]:
-        # Build the overlay: each member picks `degree` neighbours; links are
-        # symmetric, so the adjacency is the union of both directions.
-        neighbours: list[set[int]] = [set() for _ in range(n)]
-        for member in range(n):
-            picks = sample_distinct(rng, n, min(self.degree, n - 1), exclude=member)
-            for peer in picks:
-                neighbours[member].add(int(peer))
-                neighbours[int(peer)].add(member)
-
-        delivered = np.zeros(n, dtype=bool)
-        delivered[source] = True
-        messages = 0
-        rounds = 0
-        frontier = [source]
-        while frontier:
-            rounds += 1
-            next_frontier: list[int] = []
-            for member in frontier:
-                if not alive[member] and member != source:
-                    continue
-                peers = sorted(neighbours[member])
-                messages += len(peers)
-                if network is not None:
-                    keep = network.draw_loss(rng, len(peers))
-                    peers = [peer for peer, kept in zip(peers, keep, strict=True) if kept]
-                for peer in peers:
-                    if not delivered[peer]:
-                        delivered[peer] = True
-                        if alive[peer]:
-                            next_frontier.append(peer)
-            frontier = next_frontier
-        return delivered, messages, rounds, 0
-
     def _disseminate_batch(
         self,
         n: int,
@@ -95,8 +52,8 @@ class FloodingProtocol(Protocol):
         degree = min(self.degree, n - 1)
 
         # One batched draw realises every replica's overlay picks; the
-        # chunk-global arc list is then symmetrised and deduplicated (the
-        # scalar engine's neighbour *sets* collapse reciprocal picks).  The
+        # chunk-global arc list is then symmetrised and deduplicated (a
+        # member's neighbours form a *set*, so reciprocal picks collapse).  The
         # COO→CSR conversion merges duplicate arcs in one C-level pass —
         # an order of magnitude cheaper than sorting 64-bit arc keys.
         members = np.tile(np.arange(n, dtype=np.int64), repetitions)

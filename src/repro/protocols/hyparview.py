@@ -41,8 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.membership import sample_distinct
-from repro.simulation.network import NetworkModel
 from repro.simulation.transport import Transport
 from repro.utils.sampling import sample_distinct_rows, sample_distinct_rows_excluding
 from repro.utils.validation import check_integer
@@ -73,65 +71,6 @@ class HyParViewProtocol(Protocol):
         #: until ``_disseminate_batch`` executes.
         self.last_batch_stats: dict | None = None
 
-    def _draw_views(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw one member's initial (active, passive) view rows."""
-        active = sample_distinct(rng, n, min(self.active_size, n - 1))
-        passive = sample_distinct(rng, n, min(self.passive_size, n - 1))
-        return active, passive
-
-    def _disseminate(
-        self,
-        n: int,
-        alive: np.ndarray,
-        source: int,
-        rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int, int]:
-        active_size = min(self.active_size, n - 1)
-        passive_size = min(self.passive_size, n - 1)
-        fanout = min(self.fanout, active_size)
-        active_view = np.empty((n, active_size), dtype=np.int64)
-        passive_view = np.empty((n, passive_size), dtype=np.int64)
-        for member in range(n):
-            active_view[member] = sample_distinct(rng, n, active_size, exclude=member)
-            passive_view[member] = sample_distinct(rng, n, passive_size, exclude=member)
-
-        has_message = np.zeros(n, dtype=bool)
-        has_message[source] = True
-        messages = 0
-        rounds_executed = 0
-        for round_index in range(1, self.rounds + 1):
-            rounds_executed += 1
-            holders = np.flatnonzero(has_message & alive)
-            if holders.size == 0:
-                break
-            newly: list[int] = []
-            for member in holders:
-                slots = sample_distinct(rng, active_size, fanout)
-                targets = active_view[member, slots]
-                messages += int(targets.size)
-                if network is not None:
-                    targets = targets[network.draw_loss(rng, targets.size)]
-                for target in targets:
-                    target = int(target)
-                    if alive[target] and not has_message[target]:
-                        newly.append(target)
-            if newly:
-                has_message[np.array(newly, dtype=np.int64)] = True
-            # Periodic shuffle: every nonfailed member swaps one random
-            # active entry for one random passive entry (one control message
-            # each) — the membership service runs group-wide, holders or not.
-            if round_index % self.shuffle_interval == 0:
-                for member in np.flatnonzero(alive):
-                    slot = int(rng.integers(active_size))
-                    pick = int(rng.integers(passive_size))
-                    active_view[member, slot], passive_view[member, pick] = (
-                        passive_view[member, pick],
-                        active_view[member, slot],
-                    )
-                    messages += 1
-        return has_message, messages, rounds_executed, 0
-
     def _disseminate_batch(
         self,
         n: int,
@@ -148,9 +87,9 @@ class HyParViewProtocol(Protocol):
         members = np.tile(np.arange(n, dtype=np.int64), repetitions)
 
         # One batched draw per view kind realises every replica's initial
-        # assignment (the batched analogue of the scalar per-member loop).
-        # Slot ``j`` of cell ``c``'s view is entry ``c * size + j`` of the
-        # flat array; the ``(R, n, size)`` arrays are reshaped views of it.
+        # assignment.  Slot ``j`` of cell ``c``'s view is entry
+        # ``c * size + j`` of the flat array; the ``(R, n, size)`` arrays are
+        # reshaped views of it.
         picks, _ = sample_distinct_rows_excluding(
             rng, n, np.full(cells_total, active_size, dtype=np.int64), members
         )

@@ -38,8 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.membership import sample_distinct
-from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import sample_group_targets_batch
 from repro.simulation.transport import Transport
 from repro.utils.validation import check_integer, check_probability
@@ -71,81 +69,6 @@ class LazyPushProtocol(Protocol):
         #: the last batched run ({"iwants_sent", "recoveries",
         #: "budget_exhausted"}), for tests and experiment harvesting.
         self.last_batch_stats: dict | None = None
-
-    def _disseminate(
-        self,
-        n: int,
-        alive: np.ndarray,
-        source: int,
-        rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int, int]:
-        has_message = np.zeros(n, dtype=bool)
-        has_message[source] = True
-        budget = np.full(n, self.retry_budget, dtype=np.int64)
-        advertiser = np.full(n, -1, dtype=np.int64)
-        messages = 0
-        control = 0
-        rounds_executed = 0
-        for _ in range(self.rounds):
-            if bool(np.all(has_message[alive])):
-                break
-            rounds_executed += 1
-            # ---------------------------------------------- recovery leg
-            # Members armed by last round's digests fire one IWANT each at
-            # their chosen advertiser; the advertisement then times out
-            # (re-arming requires a fresh digest).
-            armed = np.flatnonzero(advertiser >= 0)
-            for member in armed:
-                member = int(member)
-                adv = int(advertiser[member])
-                advertiser[member] = -1
-                if not alive[member] or has_message[member] or budget[member] <= 0:
-                    continue
-                budget[member] -= 1
-                messages += 1  # IWANT
-                control += 1
-                if network is not None and not bool(network.draw_loss(rng, 1)[0]):
-                    continue
-                if not (alive[adv] and has_message[adv]):
-                    continue
-                messages += 1  # payload answer
-                if network is None or bool(network.draw_loss(rng, 1)[0]):
-                    has_message[member] = True
-            # ----------------------------------------- dissemination leg
-            holders = np.flatnonzero(has_message & alive)
-            if float(has_message.sum()) / n < self.eager_threshold:
-                # Eager phase: ordinary payload push from every holder.
-                newly: list[int] = []
-                for member in holders:
-                    targets = sample_distinct(rng, n, self.fanout, exclude=int(member))
-                    messages += int(targets.size)
-                    if network is not None:
-                        targets = targets[network.draw_loss(rng, targets.size)]
-                    for target in targets:
-                        target = int(target)
-                        if alive[target] and not has_message[target]:
-                            newly.append(target)
-                if newly:
-                    has_message[np.array(newly, dtype=np.int64)] = True
-            else:
-                # Lazy phase: IHAVE digests only; a missing member with
-                # budget left arms one advertiser uniformly at random among
-                # the digests that reached it this round.
-                received: dict[int, list[int]] = {}
-                for member in holders:
-                    targets = sample_distinct(rng, n, self.ihave_fanout, exclude=int(member))
-                    messages += int(targets.size)  # IHAVE digests
-                    control += int(targets.size)
-                    if network is not None:
-                        targets = targets[network.draw_loss(rng, targets.size)]
-                    for target in targets:
-                        target = int(target)
-                        if alive[target] and not has_message[target] and budget[target] > 0:
-                            received.setdefault(target, []).append(int(member))
-                for target, senders in received.items():
-                    advertiser[target] = senders[int(rng.integers(len(senders)))]
-        return has_message, messages, rounds_executed, control
 
     def _disseminate_batch(
         self,
@@ -185,8 +108,8 @@ class LazyPushProtocol(Protocol):
             rep_w, mem_w = np.nonzero(pending)
             adv_cells = rep_w * n + advertiser[rep_w, mem_w]
             # Every armed advertisement times out after one round, fired or
-            # not; re-arming requires a fresh digest (matches the scalar
-            # reference, where churn never suspends a requester).
+            # not; re-arming requires a fresh digest (churn never suspends
+            # a requester).
             adv_flat[adv_flat >= 0] = -1
             if rep_w.size:
                 budget[rep_w, mem_w] -= 1

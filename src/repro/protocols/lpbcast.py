@@ -21,8 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.membership import UniformPartialView, sample_distinct
-from repro.simulation.network import NetworkModel
 from repro.simulation.transport import Transport
 from repro.utils.sampling import sample_distinct_rows, sample_distinct_rows_excluding
 from repro.utils.validation import check_integer
@@ -39,43 +37,6 @@ class LpbcastProtocol(Protocol):
         self.fanout = check_integer("fanout", fanout, minimum=1)
         self.rounds = check_integer("rounds", rounds, minimum=1)
         self.view_size = check_integer("view_size", view_size, minimum=1)
-
-    def _disseminate(
-        self,
-        n: int,
-        alive: np.ndarray,
-        source: int,
-        rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int, int]:
-        view = UniformPartialView(n, min(self.view_size, n - 1), seed=rng)
-        has_message = np.zeros(n, dtype=bool)
-        has_message[source] = True
-        messages = 0
-        rounds_executed = 0
-        for _ in range(self.rounds):
-            rounds_executed += 1
-            holders = np.flatnonzero(has_message & alive)
-            if holders.size == 0:
-                break
-            newly: list[int] = []
-            for member in holders:
-                member_view = view.view_of(int(member))
-                if member_view.size == 0:
-                    continue
-                k = min(self.fanout, member_view.size)
-                idx = sample_distinct(rng, member_view.size, k)
-                targets = member_view[idx]
-                messages += int(targets.size)
-                if network is not None:
-                    targets = targets[network.draw_loss(rng, targets.size)]
-                for target in targets:
-                    target = int(target)
-                    if alive[target] and not has_message[target]:
-                        newly.append(target)
-            if newly:
-                has_message[np.array(newly, dtype=np.int64)] = True
-        return has_message, messages, rounds_executed, 0
 
     def _disseminate_batch(
         self,

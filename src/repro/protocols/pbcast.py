@@ -22,8 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.membership import sample_distinct
-from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import sample_group_targets_batch
 from repro.simulation.transport import Transport
 from repro.utils.validation import check_integer, check_probability
@@ -40,61 +38,6 @@ class PbcastProtocol(Protocol):
         self.fanout = check_integer("fanout", fanout, minimum=1)
         self.rounds = check_integer("rounds", rounds, minimum=0)
         self.broadcast_reach = check_probability("broadcast_reach", broadcast_reach)
-
-    def _disseminate(
-        self,
-        n: int,
-        alive: np.ndarray,
-        source: int,
-        rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int, int]:
-        has_message = np.zeros(n, dtype=bool)
-        has_message[source] = True
-        messages = 0
-        control = 0
-
-        # Phase 1: unreliable best-effort broadcast from the source.
-        reached = rng.random(n) < self.broadcast_reach
-        reached[source] = True
-        messages += n - 1  # the broadcast costs one transmission per member
-        if network is not None:
-            # Each broadcast leg is additionally dropped by the transport
-            # (the source never broadcasts to itself).
-            keep = np.ones(n, dtype=bool)
-            others = np.flatnonzero(np.arange(n) != source)
-            keep[others] = network.draw_loss(rng, n - 1)
-            reached &= keep
-        # Only members that are up can buffer the message.
-        has_message |= reached & alive
-
-        # Phase 2: anti-entropy gossip of digests with pull-based recovery.
-        rounds_executed = 0
-        for _ in range(self.rounds):
-            rounds_executed += 1
-            holders = np.flatnonzero(has_message & alive)
-            if holders.size == 0:
-                break
-            newly = []
-            for member in holders:
-                targets = sample_distinct(rng, n, self.fanout, exclude=int(member))
-                messages += int(targets.size)  # digest messages
-                control += int(targets.size)  # digests carry no payload
-                if network is not None:
-                    targets = targets[network.draw_loss(rng, targets.size)]
-                for target in targets:
-                    target = int(target)
-                    if alive[target] and not has_message[target]:
-                        # The peer notices the gap and pulls the payload
-                        # (round trip modelled as one lossy message).
-                        messages += 1
-                        if network is None or network.draw_loss(rng, 1)[0]:
-                            newly.append(target)
-            if not newly:
-                # Converged: every digest found an up-to-date peer.
-                break
-            has_message[np.array(newly, dtype=np.int64)] = True
-        return has_message, messages, rounds_executed, control
 
     def _disseminate_batch(
         self,
@@ -123,7 +66,7 @@ class PbcastProtocol(Protocol):
 
         # Phase 2: anti-entropy rounds advance all replicas in lock-step;
         # a replica leaves the batch once a round produces no recovery
-        # (converged), exactly the scalar engine's break — unless messages
+        # (converged) — unless messages
         # are still in flight for it, which can seed later recoveries.
         active = np.ones(repetitions, dtype=bool)
         for _ in range(self.rounds):
@@ -148,8 +91,8 @@ class PbcastProtocol(Protocol):
             # pull in the round it lands, not the round it was sent.
             cells, digest_times, _ = transport.arrive(cells, channel="digest")
             # A digest landing on a nonfailed peer that misses the message
-            # triggers one pull each (duplicates within the round included,
-            # as in the scalar engine); the pull round trip is one lossy
+            # triggers one pull each (duplicates within the round
+            # included); the pull round trip is one lossy
             # message — only surviving pulls recover the payload, a pull
             # latency draw after the digest's arrival instant.
             pulling = alive_flat[cells] & ~has_flat[cells]

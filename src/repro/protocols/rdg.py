@@ -21,8 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.protocols.base import Protocol
-from repro.simulation.membership import sample_distinct
-from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import sample_group_targets_batch
 from repro.simulation.transport import Transport
 from repro.utils.validation import check_integer
@@ -39,59 +37,6 @@ class RouteDrivenGossip(Protocol):
         self.fanout = check_integer("fanout", fanout, minimum=1)
         self.rounds = check_integer("rounds", rounds, minimum=1)
         self.pull_fanout = check_integer("pull_fanout", pull_fanout, minimum=0)
-
-    def _disseminate(
-        self,
-        n: int,
-        alive: np.ndarray,
-        source: int,
-        rng: np.random.Generator,
-        network: NetworkModel | None = None,
-    ) -> tuple[np.ndarray, int, int, int]:
-        has_message = np.zeros(n, dtype=bool)
-        has_message[source] = True
-        messages = 0
-        control = 0
-        rounds_executed = 0
-        for _ in range(self.rounds):
-            rounds_executed += 1
-            # -------------------------------------------------------- push
-            holders = np.flatnonzero(has_message & alive)
-            if holders.size == 0:
-                break
-            newly: list[int] = []
-            for member in holders:
-                targets = sample_distinct(rng, n, self.fanout, exclude=int(member))
-                messages += int(targets.size)
-                if network is not None:
-                    targets = targets[network.draw_loss(rng, targets.size)]
-                for target in targets:
-                    target = int(target)
-                    if alive[target] and not has_message[target]:
-                        newly.append(target)
-            if newly:
-                has_message[np.array(newly, dtype=np.int64)] = True
-            # -------------------------------------------------------- pull
-            if self.pull_fanout > 0:
-                missing = np.flatnonzero(alive & ~has_message)
-                recovered: list[int] = []
-                for member in missing:
-                    peers = sample_distinct(rng, n, self.pull_fanout, exclude=int(member))
-                    messages += int(peers.size)  # pull requests
-                    control += int(peers.size)  # requests carry no payload
-                    if network is not None:
-                        # A lost request never reaches its peer.
-                        peers = peers[network.draw_loss(rng, peers.size)]
-                    hit = peers[has_message[peers] & alive[peers]]
-                    if hit.size:
-                        messages += 1  # one response carrying the payload
-                        if network is None or network.draw_loss(rng, 1)[0]:
-                            recovered.append(int(member))
-                if recovered:
-                    has_message[np.array(recovered, dtype=np.int64)] = True
-            if bool(np.all(has_message[alive])):
-                break
-        return has_message, messages, rounds_executed, control
 
     def _disseminate_batch(
         self,

@@ -2,14 +2,14 @@
 
 Two simulators are provided:
 
-* a **fast Monte-Carlo simulator** (:mod:`repro.simulation.gossip`) that
-  executes the gossip algorithm as a frontier/BFS process over vectorised
-  target sampling — this is the engine behind the paper's Figs. 4-7
-  reproductions, and
+* a **batched Monte-Carlo simulator** (:mod:`repro.simulation.gossip`) that
+  executes the gossip algorithm for ``R`` replicas at once as a frontier/BFS
+  process over ``(R, n)`` masks — this is the engine behind the paper's
+  Figs. 4-7 reproductions, and
 * a **discrete-event simulator** (:mod:`repro.simulation.engine`,
   :mod:`repro.simulation.node`, :mod:`repro.simulation.network`) that models
   per-message latencies, message loss, and crash timing explicitly — the
-  behavioural reference used in tests and in the protocol baselines.
+  independent behavioural reference the tests pin the batched engine to.
 
 Supporting modules supply membership views (:mod:`repro.simulation.membership`),
 fail-stop failure injection (:mod:`repro.simulation.failures`), repeated-execution
@@ -38,7 +38,9 @@ latency-free engines whenever the sampler is a constant within one round
 period.  In both batched engines the three planes meet in one place: every
 send leg goes through the batch's :class:`~repro.simulation.transport.Transport`,
 which applies loss, membership and latency under one leg law and keeps the
-per-replica message counters.
+per-replica message counters.  The batched engines are the only
+dissemination path: a single execution
+(:meth:`~repro.protocols.base.Protocol.run`) is a one-replica batch.
 """
 
 from repro.simulation.engine import EventScheduler, Event
@@ -77,7 +79,6 @@ from repro.simulation.gossip import (
     BatchGossipResult,
     GossipExecution,
     simulate_gossip_batch,
-    simulate_gossip_once,
     simulate_gossip_event_driven,
 )
 from repro.simulation.protocol_batch import (
@@ -89,7 +90,7 @@ from repro.simulation.metrics import (
     SuccessCountResult,
     summarize_executions,
 )
-from repro.simulation.rounds import simulate_success_counts, repeated_executions
+from repro.simulation.rounds import simulate_success_counts
 from repro.simulation.runner import estimate_reliability, reliability_sweep, SweepResult
 
 __all__ = [
@@ -122,7 +123,6 @@ __all__ = [
     "percentile_label",
     "GossipExecution",
     "BatchGossipResult",
-    "simulate_gossip_once",
     "simulate_gossip_batch",
     "simulate_gossip_event_driven",
     "BatchProtocolResult",
@@ -131,7 +131,6 @@ __all__ = [
     "SuccessCountResult",
     "summarize_executions",
     "simulate_success_counts",
-    "repeated_executions",
     "estimate_reliability",
     "reliability_sweep",
     "SweepResult",

@@ -1,6 +1,6 @@
 """Simulators of the general gossip algorithm (the paper's Figure 1).
 
-Three implementations of the same protocol are provided:
+Two implementations of the same protocol are provided:
 
 * :func:`simulate_gossip_batch` — the production Monte-Carlo engine.  It
   propagates **all replicas of an experiment simultaneously** as ``(R, n)``
@@ -10,26 +10,26 @@ Three implementations of the same protocol are provided:
   dedup (:func:`~repro.utils.sampling.unique_unseen`) plus ``bincount`` pass
   that books deliveries, duplicates, and message counts exactly.  This
   removes the Python-interpreter round trips that dominated per-replica
-  simulation and is 10-50× faster on the paper's Figs. 4-5 sweeps.
-* :func:`simulate_gossip_once` — the scalar frontier (BFS) Monte-Carlo kept
-  as the behavioural reference for the batched engine.  Time is abstracted
-  into gossip "hops"; within a hop every newly infected nonfailed member
-  draws its fanout, samples its targets, and the messages land at the next
-  hop.  Because every member forwards at most once and duplicates are
+  simulation and is 10-50× faster on the paper's Figs. 4-5 sweeps.  Time is
+  abstracted into gossip "hops": within a hop every newly infected nonfailed
+  member draws its fanout, samples its targets, and the messages land at the
+  next hop.  Because every member forwards at most once and duplicates are
   discarded, this is an exact simulation of the algorithm's reachability —
   the only abstraction is the delivery order, which reliability does not
   depend on.
 * :func:`simulate_gossip_event_driven` — the behavioural reference built on
   the discrete-event engine.  It models per-message latencies, optional
   message loss, and the two crash timings explicitly.  With the default
-  network (no loss) it must agree with the fast simulators in distribution;
+  network (no loss) it must agree with the batched engine in distribution;
   the integration tests check exactly that.
 
-The scalar simulators return :class:`GossipExecution`; the batched engine
-returns :class:`BatchGossipResult`, which carries the per-replica arrays and
-converts to per-execution records on demand.  The batched and scalar engines
-agree in distribution (identical per-replica semantics, different draw
-order); ``tests/simulation/test_gossip_batch.py`` pins them together.
+The event-driven reference returns one :class:`GossipExecution`; the batched
+engine returns :class:`BatchGossipResult`, which carries the per-replica
+arrays and converts to per-execution records on demand.  The scalar frontier
+simulation the batched engine replaced is kept as a test oracle in
+``tests/reference/scalar_protocols.py``, and
+``tests/simulation/test_gossip_batch.py`` pins the two together in
+distribution.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.utils.validation import check_integer, check_probability
 __all__ = [
     "GossipExecution",
     "BatchGossipResult",
-    "simulate_gossip_once",
     "simulate_gossip_batch",
     "simulate_gossip_event_driven",
 ]
@@ -88,8 +87,8 @@ class GossipExecution:
         Optional ``(n,)`` float array of first-receipt times (``inf`` for
         members that never received the message).  Populated by the
         event-driven reference and by batched rows carrying a latency
-        plane; ``None`` on the round-abstracted scalar path, where time
-        does not exist.
+        plane; ``None`` on a round-abstracted row, where time does not
+        exist.
     """
 
     n: int
@@ -164,110 +163,6 @@ class GossipExecution:
             success=self.is_success(1.0),
             spread=self.spread_occurred(),
         )
-
-
-def simulate_gossip_once(
-    n: int,
-    distribution: FanoutDistribution,
-    q: float,
-    *,
-    source: int = 0,
-    seed: SeedLike = None,
-    membership: MembershipView | None = None,
-    failure_pattern: FailurePattern | None = None,
-    network: NetworkModel | None = None,
-) -> GossipExecution:
-    """Run one execution of the general gossip algorithm (fast frontier simulation).
-
-    Parameters
-    ----------
-    n:
-        Group size.
-    distribution:
-        Fanout distribution ``P``.
-    q:
-        Nonfailed-member ratio (ignored when an explicit ``failure_pattern``
-        is supplied).
-    source:
-        The member that multicasts the message (never fails).
-    seed:
-        Seed or generator for all randomness of this execution.
-    membership:
-        Membership view provider; defaults to a full view of the group.
-    failure_pattern:
-        Pre-drawn failure pattern (used by repeated-execution experiments
-        that want to hold failures fixed across executions).
-    network:
-        Optional lossy transport: every sent message is independently dropped
-        with ``network.loss_probability`` (latency is irrelevant to the
-        round-abstracted simulation).  Dropped messages count as sent but
-        never arrive, so they are neither deliveries nor duplicates.  With
-        ``loss_probability == 0`` the execution is bit-for-bit identical to
-        the ``network=None`` path.
-    """
-    n = check_integer("n", n, minimum=1)
-    q = check_probability("q", q)
-    source = check_integer("source", source, minimum=0, maximum=n - 1)
-    rng = as_generator(seed)
-    view = membership if membership is not None else FullView(n)
-    if view.n != n:
-        raise ValueError(f"membership view is for n={view.n}, expected n={n}")
-
-    if failure_pattern is None:
-        failure_pattern = UniformCrashModel(q).draw(n, rng, source=source)
-    alive = failure_pattern.alive.copy()
-    alive[source] = True
-
-    received = np.zeros(n, dtype=bool)
-    delivered = np.zeros(n, dtype=bool)
-    received[source] = True
-    delivered[source] = True
-
-    messages_sent = 0
-    duplicates = 0
-    messages_dropped = 0
-    rounds = 0
-
-    frontier = np.array([source], dtype=np.int64)
-    while frontier.size:
-        rounds += 1
-        fanouts = distribution.sample(frontier.size, seed=rng)
-        target_batches = [
-            view.sample_targets(int(member), int(fanout), rng)
-            for member, fanout in zip(frontier, fanouts, strict=True)
-            if fanout > 0
-        ]
-        if not target_batches:
-            break
-        all_targets = np.concatenate(target_batches)
-        messages_sent += int(all_targets.size)
-        if network is not None:
-            keep = network.draw_loss(rng, all_targets.size)
-            messages_dropped += int(all_targets.size - keep.sum())
-            all_targets = all_targets[keep]
-        # Deliveries are processed as a batch: members that already had the
-        # message (or appear twice in the batch) count as duplicates; failed
-        # targets "receive" but never forward (crash-after-receive) or the
-        # message is wasted (crash-before-receive) — either way they do not
-        # join the frontier.
-        unique_targets = np.unique(all_targets)
-        fresh = unique_targets[~received[unique_targets]]
-        duplicates += int(all_targets.size - fresh.size)
-        received[fresh] = True
-        newly_alive = fresh[alive[fresh]]
-        delivered[newly_alive] = True
-        frontier = newly_alive
-
-    return GossipExecution(
-        n=n,
-        source=source,
-        alive=alive,
-        delivered=delivered,
-        rounds=rounds,
-        messages_sent=messages_sent,
-        duplicates=duplicates,
-        messages_dropped=messages_dropped,
-    )
 
 
 @dataclass(frozen=True)
@@ -416,13 +311,12 @@ def simulate_gossip_batch(
 ) -> BatchGossipResult:
     """Run ``repetitions`` independent gossip executions as one array program.
 
-    Semantically each replica is an independent :func:`simulate_gossip_once`
-    run (fresh failure pattern, fresh fanout and target draws); the engine
-    merely advances all replica frontiers in lock-step so every round costs a
-    constant number of numpy operations instead of ``O(frontier)`` Python
-    calls.  Message and duplicate accounting follows the scalar engine
-    exactly: duplicates are targets that already had the message or appeared
-    twice within the round's batch (per replica).
+    Semantically each replica is an independent execution of the Fig. 1
+    algorithm (fresh failure pattern, fresh fanout and target draws); the
+    engine merely advances all replica frontiers in lock-step so every round
+    costs a constant number of numpy operations instead of ``O(frontier)``
+    Python calls.  Duplicates are targets that already had the message or
+    appeared twice within the round's batch (per replica).
 
     Every round's sends go through one
     :class:`~repro.simulation.transport.Transport` leg, which applies the
@@ -430,8 +324,17 @@ def simulate_gossip_batch(
 
     Parameters
     ----------
-    n, distribution, q, source, membership:
-        As for :func:`simulate_gossip_once`.
+    n:
+        Group size.
+    distribution:
+        Fanout distribution ``P``.
+    q:
+        Nonfailed-member ratio (ignored when explicit ``alive`` masks are
+        supplied).
+    source:
+        The member that multicasts the message (never fails).
+    membership:
+        Membership view provider; defaults to a full view of the group.
     repetitions:
         Number of replicas ``R`` propagated simultaneously.
     seed:
@@ -571,10 +474,11 @@ def simulate_gossip_event_driven(
 ) -> GossipExecution:
     """Run one execution on the discrete-event engine (behavioural reference).
 
-    Semantics match :func:`simulate_gossip_once`; additionally each message
-    experiences a latency drawn from ``network.latency`` and may be lost with
-    ``network.loss_probability``.  With the default loss-free network the
-    reachability distribution is identical to the fast simulator's.
+    Semantics match one replica of :func:`simulate_gossip_batch`;
+    additionally each message experiences a latency drawn from
+    ``network.latency`` and may be lost with ``network.loss_probability``.
+    With the default loss-free network the reachability distribution is
+    identical to the batched engine's.
     """
     n = check_integer("n", n, minimum=1)
     q = check_probability("q", q)

@@ -280,9 +280,10 @@ class NetworkModel:
     def reset(self) -> None:
         """Zero the message counters and the latency bookkeeping.
 
-        Called by :meth:`repro.protocols.base.Protocol.run` between replicas
-        so counters always describe exactly one execution and never leak
-        across runs.
+        Called on entry by
+        :func:`~repro.simulation.protocol_batch.simulate_protocol_batch` (and
+        so by every :meth:`repro.protocols.base.Protocol.run`) so counters
+        always describe exactly one batch and never leak across runs.
         """
         self.messages_sent = 0
         self.messages_dropped = 0

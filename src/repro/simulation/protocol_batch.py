@@ -22,10 +22,13 @@ This module extends that treatment from the paper's algorithm to **every**
   loss, membership and latency under one leg law and keeps the per-replica
   ``messages_sent`` / ``messages_dropped`` / control / round counters that
   surface on :class:`BatchProtocolResult`;
-* the scalar :meth:`~repro.protocols.base.Protocol.run` stays the exact
-  behavioural reference — ``tests/protocols/test_protocol_batch.py`` pins
-  each batched protocol to its scalar pin through the shared statistical
-  harness (``tests/helpers/statistical.py``).
+* :meth:`~repro.protocols.base.Protocol.run` is the one-replica view of
+  this engine, so every protocol has exactly one dissemination path.  The
+  scalar bodies the hooks replaced are kept as test oracles in
+  ``tests/reference/scalar_protocols.py``, and
+  ``tests/protocols/test_protocol_batch.py`` pins each batched protocol to
+  its oracle through the shared statistical harness
+  (``tests/helpers/statistical.py``).
 
 Per-round helpers for the round-based protocols live here
 (:func:`sample_group_targets_batch`) so the protocol modules stay readable
@@ -277,19 +280,23 @@ def simulate_protocol_batch(
 ) -> BatchProtocolResult:
     """Run ``repetitions`` independent executions of ``protocol`` as one array program.
 
-    Semantically each replica is an independent
-    :meth:`~repro.protocols.base.Protocol.run` (fresh failure pattern, fresh
-    protocol randomness); the engine merely advances all replicas in
-    lock-step so every protocol round costs a constant number of numpy
-    operations instead of ``O(members)`` Python calls.
+    Semantically each replica is an independent execution (fresh failure
+    pattern, fresh protocol randomness); the engine merely advances all
+    replicas in lock-step so every protocol round costs a constant number of
+    numpy operations instead of ``O(members)`` Python calls.
+    :meth:`~repro.protocols.base.Protocol.run` is the ``repetitions=1`` case.
 
     Parameters
     ----------
     protocol:
         Any :class:`~repro.protocols.base.Protocol`; its batched hook runs
         all replicas as one array program.
-    n, q, source:
-        As for :meth:`~repro.protocols.base.Protocol.run`.
+    n:
+        Group size (at least 2).
+    q:
+        Nonfailed-member ratio of the default uniform crash model.
+    source:
+        The member that multicasts the message (never fails).
     repetitions:
         Number of replicas ``R`` propagated simultaneously.
     seed:

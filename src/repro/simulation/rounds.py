@@ -28,42 +28,13 @@ import numpy as np
 
 from repro.core.distributions import FanoutDistribution
 from repro.core.reliability import reliability as analytical_reliability
-from repro.simulation.gossip import (
-    GossipExecution,
-    simulate_gossip_batch,
-    simulate_gossip_once,
-)
+from repro.simulation.gossip import simulate_gossip_batch
 from repro.simulation.membership import MembershipView
 from repro.simulation.metrics import SuccessCountResult, build_success_count_result
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_choice, check_integer, check_probability
 
-__all__ = ["repeated_executions", "simulate_success_counts"]
-
-
-def repeated_executions(
-    n: int,
-    distribution: FanoutDistribution,
-    q: float,
-    executions: int,
-    *,
-    source: int = 0,
-    seed: SeedLike = None,
-    membership: MembershipView | None = None,
-) -> list[GossipExecution]:
-    """Run ``executions`` independent executions of the gossip algorithm.
-
-    Each execution draws a fresh failure pattern (the paper's trials are
-    independent Bernoulli trials, so nothing is held fixed between them).
-    """
-    executions = check_integer("executions", executions, minimum=0)
-    rng = as_generator(seed)
-    return [
-        simulate_gossip_once(
-            n, distribution, q, source=source, seed=rng, membership=membership
-        )
-        for _ in range(executions)
-    ]
+__all__ = ["simulate_success_counts"]
 
 
 def simulate_success_counts(
@@ -80,9 +51,12 @@ def simulate_success_counts(
     source: int = 0,
     seed: SeedLike = None,
     membership: MembershipView | None = None,
-    engine: str = "batch",
 ) -> SuccessCountResult:
     """Estimate the distribution of the success count ``X`` (Figs. 6-7 protocol).
+
+    All ``simulations × executions`` trials run through the batched engine
+    as one replica batch; conditioning redraws re-run only the still-dead
+    trials, as one batch per retry round.
 
     Parameters
     ----------
@@ -109,11 +83,6 @@ def simulate_success_counts(
         unconditional trials.
     max_redraws:
         Retry budget per trial when ``condition_on_spread`` is True.
-    engine:
-        ``"batch"`` (default) runs all ``simulations × executions`` trials
-        through the batched engine — conditioning redraws re-run only the
-        still-dead trials, as one batch per retry round.  ``"scalar"`` keeps
-        the per-trial reference loop.
     """
     n = check_integer("n", n, minimum=2)
     q = check_probability("q", q)
@@ -122,92 +91,11 @@ def simulate_success_counts(
     success_threshold = check_probability("success_threshold", success_threshold)
     max_redraws = check_integer("max_redraws", max_redraws, minimum=0)
     mode = check_choice("mode", mode, ("per_member", "all_members"))
-    engine = check_choice("engine", engine, ("batch", "scalar"))
     rng = as_generator(seed)
 
-    if engine == "batch":
-        counts = _batched_success_counts(
-            n,
-            distribution,
-            q,
-            executions=executions,
-            simulations=simulations,
-            mode=mode,
-            success_threshold=success_threshold,
-            condition_on_spread=condition_on_spread,
-            max_redraws=max_redraws,
-            source=source,
-            rng=rng,
-            membership=membership,
-        )
-        p_r = analytical_reliability(distribution, q)
-        return build_success_count_result(counts, executions, p_r)
-
-    counts = np.zeros(simulations, dtype=np.int64)
-    for sim in range(simulations):
-        # The observer must be a member other than the source (the source
-        # trivially always receives); it is re-drawn per simulation.
-        if n > 1:
-            observer = int(rng.integers(0, n - 1))
-            observer += observer >= source
-        else:
-            observer = 0
-        successes = 0
-        for _ in range(executions):
-            execution = simulate_gossip_once(
-                n, distribution, q, source=source, seed=rng, membership=membership
-            )
-            if condition_on_spread:
-                redraws = 0
-                while not execution.spread_occurred() and redraws < max_redraws:
-                    execution = simulate_gossip_once(
-                        n, distribution, q, source=source, seed=rng, membership=membership
-                    )
-                    redraws += 1
-            if mode == "per_member":
-                # Only count executions where the observer did not fail; if it
-                # failed, re-sample the outcome as "not received" would bias
-                # the estimate, so instead we condition on it being alive by
-                # treating a failed observer as a missed trial and drawing the
-                # Bernoulli from another alive member chosen uniformly.
-                if execution.alive[observer]:
-                    successes += int(execution.delivered[observer])
-                else:
-                    alive_others = np.flatnonzero(execution.alive)
-                    alive_others = alive_others[alive_others != source]
-                    if alive_others.size:
-                        stand_in = int(alive_others[int(rng.integers(0, alive_others.size))])
-                        successes += int(execution.delivered[stand_in])
-            else:
-                successes += int(execution.is_success(success_threshold))
-        counts[sim] = successes
-
-    p_r = analytical_reliability(distribution, q)
-    return build_success_count_result(counts, executions, p_r)
-
-
-def _batched_success_counts(
-    n: int,
-    distribution: FanoutDistribution,
-    q: float,
-    *,
-    executions: int,
-    simulations: int,
-    mode: str,
-    success_threshold: float,
-    condition_on_spread: bool,
-    max_redraws: int,
-    source: int,
-    rng: np.random.Generator,
-    membership: MembershipView | None,
-) -> np.ndarray:
-    """Vectorised Figs. 6-7 trial loop: all trials advance as one replica batch.
-
-    Trial ``t`` belongs to simulation ``t // executions``.  Conditioning on
-    spread redraws only the trials that died out, one batch per retry round,
-    so the retry cost scales with the (small) die-out fraction instead of the
-    trial count.
-    """
+    # Trial ``t`` belongs to simulation ``t // executions``.  The retry cost
+    # of conditioning scales with the (small) die-out fraction instead of
+    # the trial count.
     trials = simulations * executions
     result = simulate_gossip_batch(
         n,
@@ -247,11 +135,8 @@ def _batched_success_counts(
         # One observer per simulation (a member other than the source),
         # shared by that simulation's trials; draws from the n-1 virtual
         # slots with the source removed, shifting to real identifiers.
-        if n > 1:
-            observers = rng.integers(0, n - 1, size=simulations)
-            observers += observers >= source
-        else:
-            observers = np.zeros(simulations, dtype=np.int64)
+        observers = rng.integers(0, n - 1, size=simulations)
+        observers += observers >= source
         per_trial_observer = np.repeat(observers, executions)
         trial_rows = np.arange(trials)
         successes = delivered[trial_rows, per_trial_observer].copy()
@@ -269,4 +154,6 @@ def _batched_success_counts(
             successes[need_stand_in] = np.where(
                 has_candidate, delivered[need_stand_in, stand_ins], False
             )
-    return successes.reshape(simulations, executions).sum(axis=1).astype(np.int64)
+    counts = successes.reshape(simulations, executions).sum(axis=1).astype(np.int64)
+    p_r = analytical_reliability(distribution, q)
+    return build_success_count_result(counts, executions, p_r)

@@ -7,11 +7,10 @@ handles one ``(distribution, q)`` pair; :func:`reliability_sweep` handles the
 full grid and returns a tidy result object the experiment drivers and
 benchmarks render into tables.
 
-The default engine is the **batched** simulator
+The engine is the **batched** simulator
 (:func:`repro.simulation.gossip.simulate_gossip_batch`): all repetitions of a
 parameter pair advance together as ``(R, n)`` masks, so a whole estimate
-costs a handful of numpy passes.  ``engine="scalar"`` falls back to the
-per-replica reference simulator.
+costs a handful of numpy passes.
 
 The repetitions of one pair are split into *chunked replica batches* whose
 layout is a function of ``n`` and ``repetitions`` alone: a chunk holds up to
@@ -32,7 +31,7 @@ import numpy as np
 
 from repro.core.distributions import FanoutDistribution, PoissonFanout
 from repro.core.reliability import reliability as analytical_reliability
-from repro.simulation.gossip import simulate_gossip_batch, simulate_gossip_once
+from repro.simulation.gossip import simulate_gossip_batch
 from repro.simulation.membership import MembershipView
 from repro.simulation.metrics import (
     ExecutionMetrics,
@@ -41,7 +40,7 @@ from repro.simulation.metrics import (
 )
 from repro.utils.parallel import parallel_map
 from repro.utils.rng import SeedLike, as_generator, spawn_seeds
-from repro.utils.validation import check_choice, check_integer, check_probability
+from repro.utils.validation import check_integer, check_probability
 
 __all__ = ["estimate_reliability", "reliability_sweep", "SweepResult", "SweepPoint"]
 
@@ -79,14 +78,14 @@ def _run_replica_batch(
 
 
 def _run_sweep_cell(
-    args: tuple[int, FanoutDistribution, float, int, int, bool, str],
+    args: tuple[int, FanoutDistribution, float, int, int, bool],
 ) -> ReliabilityEstimate:
     """Process-pool worker: one sweep cell, estimated serially where it runs.
 
     Calls :func:`estimate_reliability` through this module's binding, so a
     wrapper installed there (a timer, a tracer) sees every in-process cell.
     """
-    n, distribution, q, repetitions, seed, conditional_on_spread, engine = args
+    n, distribution, q, repetitions, seed, conditional_on_spread = args
     return estimate_reliability(
         n,
         distribution,
@@ -95,30 +94,6 @@ def _run_sweep_cell(
         seed=seed,
         processes=1,
         conditional_on_spread=conditional_on_spread,
-        engine=engine,
-    )
-
-
-def _run_one_replica(
-    args: tuple[int, FanoutDistribution, float, int, int],
-) -> tuple[int, int, float, int, int, int, bool, bool]:
-    """Process-pool worker: run one scalar execution and return flat metrics.
-
-    Returns ``(n_alive, n_reached_alive, reliability, rounds, messages,
-    duplicates, success, spread)``.  Kept for the ``engine="scalar"``
-    reference path.
-    """
-    n, distribution, q, source, seed = args
-    execution = simulate_gossip_once(n, distribution, q, source=source, seed=seed)
-    return (
-        execution.n_alive(),
-        execution.n_delivered(),
-        execution.reliability(),
-        execution.rounds,
-        execution.messages_sent,
-        execution.duplicates,
-        execution.is_success(1.0),
-        execution.spread_occurred(),
     )
 
 
@@ -133,7 +108,6 @@ def estimate_reliability(
     membership: MembershipView | None = None,
     processes: int | None = 1,
     conditional_on_spread: bool = False,
-    engine: str = "batch",
 ) -> ReliabilityEstimate:
     """Estimate ``R(q, P)`` by averaging ``repetitions`` independent executions.
 
@@ -162,15 +136,10 @@ def estimate_reliability(
         branch; the Figs. 4-5 reproduction therefore enables this flag.  The
         unconditional default reports the plain average, and ``spread_rate``
         records how often the gossip took off either way.
-    engine:
-        ``"batch"`` (default) propagates all replicas simultaneously through
-        :func:`simulate_gossip_batch`; ``"scalar"`` runs the per-replica
-        reference simulator (slower, kept for equivalence checks).
     """
     n = check_integer("n", n, minimum=2)
     q = check_probability("q", q)
     repetitions = check_integer("repetitions", repetitions, minimum=1)
-    engine = check_choice("engine", engine, ("batch", "scalar"))
 
     def _summarize(executions: list[ExecutionMetrics]) -> ReliabilityEstimate:
         return summarize_executions(
@@ -184,16 +153,6 @@ def estimate_reliability(
     if membership is not None:
         # Partial views are not shipped to workers: run serially.  There is
         # no parallel twin of this path, so no seed-layout split to guard.
-        if engine == "scalar":
-            rng = as_generator(seed)
-            return _summarize(
-                [
-                    simulate_gossip_once(
-                        n, distribution, q, source=source, seed=rng, membership=membership
-                    ).metrics()
-                    for _ in range(repetitions)
-                ]
-            )
         result = simulate_gossip_batch(
             n,
             distribution,
@@ -204,30 +163,6 @@ def estimate_reliability(
             membership=membership,
         )
         return _summarize(result.metrics())
-
-    if engine == "scalar":
-        # One spawned seed per replica regardless of `processes`; the pool
-        # only changes *where* a replica runs, never which stream it reads,
-        # so processes=None / 1 / k are bit-identical at a fixed seed.
-        seeds = spawn_seeds(repetitions, seed)
-        work = [(n, distribution, q, source, s) for s in seeds]
-        rows = parallel_map(_run_one_replica, work, processes=processes)
-        return _summarize(
-            [
-                ExecutionMetrics(
-                    n=n,
-                    n_alive=row[0],
-                    n_reached_alive=row[1],
-                    reliability=row[2],
-                    rounds=row[3],
-                    messages_sent=row[4],
-                    duplicates=row[5],
-                    success=row[6],
-                    spread=row[7],
-                )
-                for row in rows
-            ]
-        )
 
     # Chunked replica batches: one task per chunk, not per replica.  Chunk
     # count and per-chunk seeds depend only on `n`, `repetitions` and `seed`
@@ -323,15 +258,13 @@ def reliability_sweep(
     seed: SeedLike = None,
     processes: int | None = 1,
     conditional_on_spread: bool = False,
-    engine: str = "batch",
 ) -> SweepResult:
     """Sweep reliability over a (mean fanout × nonfailed ratio) grid.
 
     This reproduces the Figs. 4-5 protocol.  ``distribution_factory`` maps a
     mean fanout to a distribution instance (default Poisson); the analytical
     column uses the same distribution so the comparison is apples-to-apples.
-    ``conditional_on_spread`` and ``engine`` are forwarded to
-    :func:`estimate_reliability`.  ``processes`` maps whole cells over a
+    ``conditional_on_spread`` is forwarded to :func:`estimate_reliability`.  ``processes`` maps whole cells over a
     pool, each estimated serially; the pool size never changes a number.
     """
     n = check_integer("n", n, minimum=2)
@@ -345,7 +278,7 @@ def reliability_sweep(
     # numbers at a fixed seed.
     cells = [(fanout, q, distribution_factory(fanout)) for q in qs for fanout in fanouts]
     tasks = [
-        (n, dist, q, repetitions, spawn_seeds(1, rng)[0], conditional_on_spread, engine)
+        (n, dist, q, repetitions, spawn_seeds(1, rng)[0], conditional_on_spread)
         for _, q, dist in cells
     ]
     estimates = parallel_map(_run_sweep_cell, tasks, processes=processes)

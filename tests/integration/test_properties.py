@@ -17,7 +17,7 @@ from repro.core.model import GossipModel
 from repro.core.percolation import critical_ratio, giant_component_size
 from repro.core.poisson_case import mean_fanout_for_reliability, poisson_reliability
 from repro.core.success import min_executions, success_probability
-from repro.simulation.gossip import simulate_gossip_once
+from tests.reference.scalar_protocols import simulate_gossip_once
 
 pmf_strategy = st.lists(
     st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=10

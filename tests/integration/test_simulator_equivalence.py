@@ -1,9 +1,10 @@
-"""Integration tests: the two simulators and the graph view agree.
+"""Integration tests: the two scalar simulators and the graph view agree.
 
-The fast frontier simulator, the event-driven reference, and the
-gossip-graph reachability view are three implementations of the same
-process; their reliability distributions must coincide (they share no code
-path beyond the distributions and membership sampling).
+The scalar frontier oracle (:mod:`tests.reference.scalar_protocols`), the
+event-driven reference, and the gossip-graph reachability view are three
+implementations of the same process; their reliability distributions must
+coincide (they share no code path beyond the distributions and membership
+sampling).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import pytest
 
 from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.graphs.gossip_graph import build_gossip_graph
-from repro.simulation.gossip import simulate_gossip_event_driven, simulate_gossip_once
+from repro.simulation.gossip import simulate_gossip_event_driven
+from tests.reference.scalar_protocols import simulate_gossip_once
 
 
 def conditional_mean_reliability(simulate, repetitions: int) -> tuple[float, float]:

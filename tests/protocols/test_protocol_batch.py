@@ -1,7 +1,7 @@
 """Scalar ↔ batched equivalence tests for the multi-protocol engine.
 
-Every bundled protocol's ``_disseminate_batch`` hook must agree with the
-scalar :meth:`~repro.protocols.base.Protocol.run` reference **in
+Every bundled protocol's ``_disseminate_batch`` hook must agree with its
+scalar oracle (:func:`tests.reference.scalar_protocols.run`) **in
 distribution** (the engines consume randomness in different orders), and the
 two engines must agree **exactly** — or raise the same error — on the
 deterministic edge cases of the failure layer (n=1, q=0, q=1, targeted
@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.distributions import PoissonFanout
+from repro.experiments.protocol_comparison import protocol_zoo
 from repro.protocols import (
     FixedFanoutGossip,
     FloodingProtocol,
@@ -23,7 +26,9 @@ from repro.protocols import (
     RandomFanoutGossip,
     RouteDrivenGossip,
 )
+from repro.simulation.churn import PoissonChurnModel
 from repro.simulation.failures import TargetedCrashModel, UniformCrashModel
+from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import (
     BatchProtocolResult,
     simulate_protocol_batch,
@@ -33,6 +38,7 @@ from tests.helpers.statistical import (
     assert_same_counts_chisquare,
     assert_same_distribution,
 )
+from tests.reference import scalar_protocols as reference
 
 
 def all_protocols():
@@ -53,7 +59,7 @@ def protocol(request):
 
 def _scalar_samples(protocol, n, q, repetitions, seed, **kwargs):
     rng = np.random.default_rng(seed)
-    return [protocol.run(n, q, seed=rng, **kwargs) for _ in range(repetitions)]
+    return [reference.run(protocol, n, q, seed=rng, **kwargs) for _ in range(repetitions)]
 
 
 class TestBatchBasics:
@@ -144,6 +150,46 @@ class TestDistributionEquivalence:
         assert abs(s.mean() - batch.rounds.mean()) < 1.0
 
 
+class TestPlanesOffAreExact:
+    """A plane that is off equals the same plane at zero intensity, for every hook.
+
+    A zero-loss network (default constant unit latency) and a zero-rate churn
+    model must draw no randomness, so every hook of the zoo returns the
+    plane-free delivered masks and counters bit for bit.
+    """
+
+    ZOO = protocol_zoo(4, 8, include_peer_sampling=True, include_recovery=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        repetitions=st.integers(1, 4),
+        q=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_intensity_planes_equal_plane_free(self, n, repetitions, q, seed):
+        for protocol_id, protocol in self.ZOO:
+            base = simulate_protocol_batch(protocol, n, q, repetitions=repetitions, seed=seed)
+            assert not np.any(base.delivered & ~base.alive), protocol_id
+            assert np.all(base.delivered[:, 0]), protocol_id
+            for plane in (
+                {"network": NetworkModel(loss_probability=0.0)},
+                {"churn": PoissonChurnModel(leave_rate=0.0, join_rate=0.0, initially_absent=0.0)},
+            ):
+                off = simulate_protocol_batch(
+                    protocol, n, q, repetitions=repetitions, seed=seed, **plane
+                )
+                label = f"{protocol_id} with {sorted(plane)}"
+                np.testing.assert_array_equal(off.delivered, base.delivered, err_msg=label)
+                for counter in ("messages_sent", "messages_dropped", "rounds"):
+                    np.testing.assert_array_equal(
+                        getattr(off, counter), getattr(base, counter), err_msg=label
+                    )
+                np.testing.assert_array_equal(
+                    off.control_messages(), base.control_messages(), err_msg=label
+                )
+
+
 class TestCrossProtocolOrdering:
     """Sanity ordering at equal effort: flooding >= pbcast >= fixed-fanout."""
 
@@ -172,12 +218,12 @@ class TestFailureLayerEdgeCases:
 
     def test_n_one_raises_in_both_engines(self, protocol):
         with pytest.raises(ValueError):
-            protocol.run(1, 0.5, seed=1)
+            reference.run(protocol, 1, 0.5, seed=1)
         with pytest.raises(ValueError):
             simulate_protocol_batch(protocol, 1, 0.5, repetitions=3, seed=1)
 
     def test_q_zero_only_source_survives_exactly(self, protocol):
-        scalar = protocol.run(40, 0.0, seed=2)
+        scalar = reference.run(protocol, 40, 0.0, seed=2)
         batch = simulate_protocol_batch(protocol, 40, 0.0, repetitions=5, seed=3)
         assert scalar.n_alive() == 1 and scalar.delivered.sum() == 1
         assert scalar.reliability() == 1.0
@@ -189,7 +235,7 @@ class TestFailureLayerEdgeCases:
         )
 
     def test_q_one_everyone_alive_exactly(self, protocol):
-        scalar = protocol.run(60, 1.0, seed=4)
+        scalar = reference.run(protocol, 60, 1.0, seed=4)
         batch = simulate_protocol_batch(protocol, 60, 1.0, repetitions=5, seed=5)
         assert scalar.n_alive() == 60
         assert np.all(batch.n_alive() == 60)
@@ -197,7 +243,7 @@ class TestFailureLayerEdgeCases:
 
     def test_targeted_crash_hitting_source_keeps_source_alive(self, protocol):
         model = TargetedCrashModel(failed=(0, 1, 2))
-        scalar = protocol.run(50, 0.5, seed=6, failure_model=model)
+        scalar = reference.run(protocol, 50, 0.5, seed=6, failure_model=model)
         batch = simulate_protocol_batch(
             protocol, 50, 0.5, repetitions=4, seed=7, failure_model=model
         )
@@ -212,7 +258,7 @@ class TestFailureLayerEdgeCases:
 
     def test_targeted_crash_everyone_but_source(self, protocol):
         model = TargetedCrashModel(failed=tuple(range(30)))
-        scalar = protocol.run(30, 0.9, seed=8, failure_model=model)
+        scalar = reference.run(protocol, 30, 0.9, seed=8, failure_model=model)
         batch = simulate_protocol_batch(
             protocol, 30, 0.9, repetitions=3, seed=9, failure_model=model
         )
@@ -227,7 +273,7 @@ class TestFailureLayerEdgeCases:
         before = UniformCrashModel(0.6, after_receive_fraction=0.0)
         after = UniformCrashModel(0.6, after_receive_fraction=1.0)
         for model in (before, after):
-            scalar = protocol.run(80, 0.6, seed=10, failure_model=model)
+            scalar = reference.run(protocol, 80, 0.6, seed=10, failure_model=model)
             batch = simulate_protocol_batch(
                 protocol, 80, 0.6, repetitions=4, seed=11, failure_model=model
             )

@@ -33,6 +33,7 @@ from repro.simulation.churn import (
 from repro.simulation.gossip import simulate_gossip_batch
 from repro.simulation.protocol_batch import simulate_protocol_batch
 from tests.helpers.statistical import assert_same_distribution
+from tests.reference import scalar_protocols as reference
 
 
 def all_protocols():
@@ -157,7 +158,7 @@ class TestHyParView:
         protocol = HyParViewProtocol(fanout=3, rounds=6, active_size=8, passive_size=20)
         rng = np.random.default_rng(5)
         scalar_counts = [
-            protocol.run(200, 0.9, seed=rng).delivered.sum() for _ in range(60)
+            reference.run(protocol, 200, 0.9, seed=rng).delivered.sum() for _ in range(60)
         ]
         batch = simulate_protocol_batch(protocol, 200, 0.9, repetitions=60, seed=6)
         assert_same_distribution(

@@ -6,9 +6,12 @@ path, (2) kill all dissemination at ``loss_probability = 1``, (3) keep the
 ``messages_sent`` / ``messages_dropped`` accounting consistent between the
 protocol results and the :class:`NetworkModel` counters, (4) compose with
 the failure layer (mid-execution crashes included), and (5) agree between
-the scalar and batched engines **in distribution** at intermediate loss —
-pinned through the shared statistical harness, exactly like the loss-free
-engines are.
+the scalar oracle (:mod:`tests.reference.scalar_protocols`) and the batched
+engine **in distribution** at intermediate loss — pinned through the shared
+statistical harness, exactly like the loss-free engines are.  The
+``test_scalar_*`` cases check the oracle, except the two counter tests,
+which check that :meth:`~repro.protocols.base.Protocol.run` resets its
+network.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from tests.helpers.statistical import (
     assert_reliability_within_band,
     assert_same_distribution,
 )
+from tests.reference import scalar_protocols as reference
 
 
 def all_protocols():
@@ -71,8 +75,10 @@ class TestZeroLossIsExact:
         assert np.all(zero.drop_rate() == 0.0)
 
     def test_scalar_identical_to_no_network(self, protocol):
-        base = protocol.run(150, 0.85, seed=13)
-        zero = protocol.run(150, 0.85, seed=13, network=NetworkModel(loss_probability=0.0))
+        base = reference.run(protocol, 150, 0.85, seed=13)
+        zero = reference.run(
+            protocol, 150, 0.85, seed=13, network=NetworkModel(loss_probability=0.0)
+        )
         np.testing.assert_array_equal(base.delivered, zero.delivered)
         assert base.messages_sent == zero.messages_sent
         assert base.rounds == zero.rounds
@@ -92,7 +98,9 @@ class TestFullLossKillsDissemination:
         np.testing.assert_array_equal(result.messages_dropped, result.messages_sent)
 
     def test_scalar_only_source_delivered(self, protocol):
-        result = protocol.run(120, 0.9, seed=22, network=NetworkModel(loss_probability=1.0))
+        result = reference.run(
+            protocol, 120, 0.9, seed=22, network=NetworkModel(loss_probability=1.0)
+        )
         assert result.delivered.sum() == 1 and result.delivered[0]
         assert result.messages_dropped == result.messages_sent
 
@@ -157,8 +165,8 @@ class TestLossComposesWithFailures:
 
     def test_scalar_invariants_under_loss_and_crashes(self, protocol):
         model = UniformCrashModel(0.7, after_receive_fraction=1.0)
-        result = protocol.run(
-            200, 0.7, seed=42, failure_model=model,
+        result = reference.run(
+            protocol, 200, 0.7, seed=42, failure_model=model,
             network=NetworkModel(loss_probability=0.3),
         )
         assert not np.any(result.delivered & ~result.alive)
@@ -190,7 +198,7 @@ class TestScalarBatchedLossEquivalence:
         rng = np.random.default_rng(51)
         network = NetworkModel(loss_probability=self.LOSS)
         scalar = [
-            protocol.run(self.N, self.Q, seed=rng, network=network)
+            reference.run(protocol, self.N, self.Q, seed=rng, network=network)
             for _ in range(self.REPS)
         ]
         batch = simulate_protocol_batch(
@@ -214,7 +222,7 @@ class TestScalarBatchedLossEquivalence:
         rng = np.random.default_rng(53)
         network = NetworkModel(loss_probability=self.LOSS)
         scalar = [
-            protocol.run(self.N, self.Q, seed=rng, network=network)
+            reference.run(protocol, self.N, self.Q, seed=rng, network=network)
             for _ in range(self.REPS)
         ]
         batch = simulate_protocol_batch(

@@ -2,19 +2,35 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.distributions import PoissonFanout
+from repro.experiments.protocol_comparison import protocol_zoo
 from repro.protocols import (
     FixedFanoutGossip,
     FloodingProtocol,
     LpbcastProtocol,
     PbcastProtocol,
+    ProtocolResult,
     RandomFanoutGossip,
     RouteDrivenGossip,
 )
-from repro.simulation.failures import CrashTiming, FailurePattern
+from repro.simulation.failures import TargetedCrashModel
+from repro.simulation.network import GilbertElliottNetworkModel, NetworkModel
+
+ZOO = protocol_zoo(4, 8, include_peer_sampling=True, include_recovery=True)
+
+#: One fresh channel per call: network models carry counters and burst state.
+NETWORKS = {
+    "none": lambda: None,
+    "iid-loss": lambda: NetworkModel(loss_probability=0.2),
+    "gilbert-elliott": lambda: GilbertElliottNetworkModel(
+        loss_probability=0.02, bad_loss_probability=0.5, p_good_to_bad=0.1, p_bad_to_good=0.4
+    ),
+}
 
 
 def all_protocols():
@@ -59,14 +75,10 @@ class TestCommonProtocolBehaviour:
         np.testing.assert_array_equal(a.delivered, b.delivered)
         assert a.messages_sent == b.messages_sent
 
-    def test_explicit_failure_pattern(self, protocol):
+    def test_targeted_failure(self, protocol):
         n = 60
-        alive = np.ones(n, dtype=bool)
-        alive[1] = False
-        pattern = FailurePattern(
-            alive=alive, timing=np.full(n, CrashTiming.BEFORE_RECEIVE, dtype=object)
-        )
-        result = protocol.run(n, 0.5, seed=4, failure_pattern=pattern)
+        model = TargetedCrashModel(failed=(1,))
+        result = protocol.run(n, 0.5, seed=4, failure_model=model)
         assert not result.delivered[1]
         assert result.n_alive() == n - 1
 
@@ -81,6 +93,27 @@ class TestCommonProtocolBehaviour:
     def test_messages_per_member(self, protocol):
         result = protocol.run(120, 0.9, seed=5)
         assert result.messages_per_member() == pytest.approx(result.messages_sent / 120)
+
+
+class TestRunIsOneReplicaBatch:
+    """``run`` returns the one replica of ``run_batch(repetitions=1)``, field for field."""
+
+    @pytest.mark.parametrize("network", sorted(NETWORKS))
+    @pytest.mark.parametrize(("protocol_id", "protocol"), ZOO, ids=[pid for pid, _ in ZOO])
+    def test_run_equals_one_replica_batch(self, protocol_id, protocol, network):
+        for seed in (1, 2, 3):
+            single = protocol.run(120, 0.85, seed=seed, network=NETWORKS[network]())
+            batch = protocol.run_batch(
+                120, 0.85, repetitions=1, seed=seed, network=NETWORKS[network]()
+            )
+            expected = batch.result(0)
+            for field in dataclasses.fields(ProtocolResult):
+                got = getattr(single, field.name)
+                want = getattr(expected, field.name)
+                if isinstance(want, np.ndarray):
+                    np.testing.assert_array_equal(got, want, err_msg=field.name)
+                else:
+                    assert got == want, (protocol_id, network, seed, field.name)
 
 
 class TestFixedFanoutGossip:

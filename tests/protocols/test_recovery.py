@@ -1,7 +1,8 @@
 """Tests for the two-phase recovery protocols (lazy-push and anti-entropy).
 
-The recovery plane must (1) keep the scalar reference and the batched array
-program statistically equivalent at small and large group sizes, (2) be
+The recovery plane must (1) keep the scalar oracle
+(:mod:`tests.reference.scalar_protocols`) and the batched array program
+statistically equivalent at small and large group sizes, (2) be
 bit-identical between plane-enabled runs at zero loss / zero churn and
 plane-free runs at the same seed, (3) guarantee recovery in the loss-free
 single-missing-member pin (a digest that reaches the one gap always pulls
@@ -22,6 +23,7 @@ from tests.helpers.statistical import (
     assert_reliability_within_band,
     assert_same_distribution,
 )
+from tests.reference import scalar_protocols as reference
 
 
 def recovery_protocols():
@@ -70,9 +72,9 @@ class TestZeroPlanesAreExact:
         np.testing.assert_array_equal(base.rounds, zero.rounds)
 
     def test_scalar_identical_to_plane_free(self, protocol):
-        base = protocol.run(150, 0.85, seed=13)
-        zero = protocol.run(
-            150, 0.85, seed=13, network=NetworkModel(loss_probability=0.0)
+        base = reference.run(protocol, 150, 0.85, seed=13)
+        zero = reference.run(
+            protocol, 150, 0.85, seed=13, network=NetworkModel(loss_probability=0.0)
         )
         np.testing.assert_array_equal(base.delivered, zero.delivered)
         assert base.messages_sent == zero.messages_sent
@@ -93,7 +95,7 @@ class TestScalarBatchedEquivalence:
         rng = np.random.default_rng(71)
         network = NetworkModel(loss_probability=self.LOSS)
         scalar = [
-            protocol.run(n, self.Q, seed=rng, network=network)
+            reference.run(protocol, n, self.Q, seed=rng, network=network)
             for _ in range(self.REPS)
         ]
         batch = simulate_protocol_batch(
@@ -126,7 +128,7 @@ class TestScalarBatchedEquivalence:
     @pytest.mark.parametrize("n", [50, 500])
     def test_loss_free_engines_match(self, protocol, n):
         rng = np.random.default_rng(73)
-        scalar = [protocol.run(n, self.Q, seed=rng) for _ in range(self.REPS)]
+        scalar = [reference.run(protocol, n, self.Q, seed=rng) for _ in range(self.REPS)]
         batch = simulate_protocol_batch(
             protocol, n, self.Q, repetitions=self.REPS, seed=74
         )
@@ -148,7 +150,7 @@ class TestGuaranteedRecovery:
         protocol = LazyPushProtocol(
             fanout=1, rounds=2, eager_threshold=0.0, retry_budget=1
         )
-        result = protocol.run(2, 1.0, seed=5)
+        result = reference.run(protocol, 2, 1.0, seed=5)
         assert result.delivered.all()
         assert result.rounds == 2
         assert result.messages_sent == 5
@@ -165,7 +167,7 @@ class TestGuaranteedRecovery:
         # n=2, one round: two digests (one per member) and two transfers —
         # member 0 pushes, member 1 pulls, both repairing the same gap.
         protocol = AntiEntropyProtocol(fanout=1, rounds=1)
-        result = protocol.run(2, 1.0, seed=7)
+        result = reference.run(protocol, 2, 1.0, seed=7)
         assert result.delivered.all()
         assert result.rounds == 1
         assert result.messages_sent == 4
@@ -194,7 +196,7 @@ class TestRetryBudget:
         protocol = LazyPushProtocol(
             fanout=2, rounds=5, eager_threshold=0.0, retry_budget=0
         )
-        result = protocol.run(60, 0.9, seed=21)
+        result = reference.run(protocol, 60, 0.9, seed=21)
         assert result.delivered.sum() == 1 and result.delivered[0]
         assert result.control_messages_sent == result.messages_sent > 0
 
@@ -251,7 +253,9 @@ class TestAccountingSplit:
             batch.payload_messages_sent() + batch.control_messages(),
             batch.messages_sent,
         )
-        scalar = protocol.run(150, 0.9, seed=32, network=NetworkModel(loss_probability=0.3))
+        scalar = reference.run(
+            protocol, 150, 0.9, seed=32, network=NetworkModel(loss_probability=0.3)
+        )
         assert 0 <= scalar.control_messages_sent <= scalar.messages_sent
         assert (
             scalar.payload_messages_sent() + scalar.control_messages_sent

@@ -1,4 +1,9 @@
-"""Unit tests for the gossip simulators (fast and event-driven)."""
+"""Unit tests for the gossip simulators: the scalar oracle and the event-driven reference.
+
+The scalar frontier simulation lives in :mod:`tests.reference.scalar_protocols`;
+the batched engine the product runs is pinned to it in
+``test_gossip_batch.py``.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +15,10 @@ from hypothesis import strategies as st
 from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.core.poisson_case import poisson_reliability
 from repro.simulation.failures import FailurePattern, CrashTiming
-from repro.simulation.gossip import simulate_gossip_event_driven, simulate_gossip_once
+from repro.simulation.gossip import simulate_gossip_event_driven
 from repro.simulation.membership import UniformPartialView
 from repro.simulation.network import NetworkModel, latency_uniform
+from tests.reference.scalar_protocols import simulate_gossip_once
 
 
 class TestFastSimulator:

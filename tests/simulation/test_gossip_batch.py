@@ -1,7 +1,8 @@
 """Equivalence and edge-case tests for the batched gossip engine.
 
 The batched engine (:func:`simulate_gossip_batch`) must agree with the scalar
-reference (:func:`simulate_gossip_once`) **in distribution**: the two consume
+oracle (:func:`tests.reference.scalar_protocols.simulate_gossip_once`) **in
+distribution**: the two consume
 randomness in different orders, so the tests compare statistics over matched
 replica counts through the shared harness in ``tests/helpers/statistical.py``
 (tolerance-banded mean reliability, KS and chi-square checks on the
@@ -18,11 +19,7 @@ from hypothesis import strategies as st
 from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.core.poisson_case import poisson_reliability
 from repro.simulation.churn import PoissonChurnModel
-from repro.simulation.gossip import (
-    BatchGossipResult,
-    simulate_gossip_batch,
-    simulate_gossip_once,
-)
+from repro.simulation.gossip import BatchGossipResult, simulate_gossip_batch
 from repro.simulation.membership import FullView, UniformPartialView
 from repro.simulation.network import NetworkModel, latency_exponential
 from tests.helpers.statistical import (
@@ -30,6 +27,7 @@ from tests.helpers.statistical import (
     assert_same_counts_chisquare,
     assert_same_distribution,
 )
+from tests.reference.scalar_protocols import simulate_gossip_once
 
 
 def _scalar_samples(n, dist, q, repetitions, seed, **kwargs):

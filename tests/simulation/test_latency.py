@@ -27,7 +27,7 @@ from repro.simulation.network import (
     latency_exponential,
     latency_uniform,
 )
-from tests.reference import latency_plane
+from tests.reference import latency_plane, scalar_protocols
 
 
 class TestPercentileHelpers:
@@ -247,7 +247,7 @@ class TestTotalLatencyAccounting:
         c = 0.7
         protocol = FixedFanoutGossip(4)
         scalar_net = NetworkModel(latency=latency_constant(c), loss_probability=0.1)
-        protocol.run(300, 0.9, seed=11, network=scalar_net)
+        scalar_protocols.run(protocol, 300, 0.9, seed=11, network=scalar_net)
         kept = scalar_net.messages_sent - scalar_net.messages_dropped
         assert kept > 0
         assert scalar_net.total_latency == pytest.approx(c * kept)

@@ -1,4 +1,4 @@
-"""Unit tests for repeated executions and success-count simulation."""
+"""Unit tests for the success-count simulation (Figs. 6-7)."""
 
 from __future__ import annotations
 
@@ -6,25 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.distributions import FixedFanout, PoissonFanout
-from repro.simulation.rounds import repeated_executions, simulate_success_counts
-
-
-class TestRepeatedExecutions:
-    def test_count_and_independence(self):
-        executions = repeated_executions(200, PoissonFanout(3.0), 0.8, 5, seed=1)
-        assert len(executions) == 5
-        # Failure patterns are redrawn each execution, so alive masks differ.
-        masks = {tuple(e.alive.tolist()) for e in executions}
-        assert len(masks) > 1
-
-    def test_zero_executions(self):
-        assert repeated_executions(100, PoissonFanout(2.0), 0.9, 0, seed=2) == []
-
-    def test_reproducible(self):
-        a = repeated_executions(100, PoissonFanout(2.0), 0.9, 3, seed=3)
-        b = repeated_executions(100, PoissonFanout(2.0), 0.9, 3, seed=3)
-        for x, y in zip(a, b, strict=True):
-            np.testing.assert_array_equal(x.delivered, y.delivered)
+from repro.simulation.rounds import simulate_success_counts
 
 
 class TestSuccessCounts:
@@ -80,13 +62,11 @@ class TestSuccessCounts:
         # With a subcritical fanout the gossip rarely leaves the source, so
         # an observer drawn equal to the source would register trivial
         # always-success simulations; the count must stay near zero for any
-        # source placement (both engines).
-        for engine in ("batch", "scalar"):
-            result = simulate_success_counts(
-                80, PoissonFanout(0.2), 1.0, executions=20, simulations=40,
-                source=5, seed=21, engine=engine,
-            )
-            assert result.counts.max() < 15, engine
+        # source placement.
+        result = simulate_success_counts(
+            80, PoissonFanout(0.2), 1.0, executions=20, simulations=40, source=5, seed=21
+        )
+        assert result.counts.max() < 15
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):

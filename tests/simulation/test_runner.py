@@ -109,12 +109,6 @@ class TestSeedPathDeterminism:
         assert np.unique(one.samples).size > 1
         np.testing.assert_array_equal(one.samples, pooled.samples)
 
-    def test_scalar_engine_processes_none_equals_one(self):
-        kwargs = dict(repetitions=6, seed=33, engine="scalar")
-        one = estimate_reliability(200, PoissonFanout(3.0), 0.8, processes=1, **kwargs)
-        auto = estimate_reliability(200, PoissonFanout(3.0), 0.8, processes=None, **kwargs)
-        np.testing.assert_array_equal(one.samples, auto.samples)
-
     def test_sweep_processes_none_equals_one(self):
         kwargs = dict(fanouts=[3.0, 5.0], qs=[0.8, 1.0], repetitions=10, seed=34)
         one = reliability_sweep(250, processes=1, **kwargs)

@@ -35,6 +35,24 @@ class TestExamples:
         assert "analytical reliability" in out
         assert "simulated mean reliability" in out
 
+    def test_compare_protocols_runs(self, capsys):
+        runpy.run_path(str(EXAMPLES_DIR / "compare_protocols.py"), run_name="__main__")
+        out = capsys.readouterr().out
+        for label in (
+            "paper's random-fanout gossip",
+            "traditional fixed-fanout gossip",
+            "pbcast (broadcast + anti-entropy)",
+            "lpbcast (partial views)",
+            "route driven gossip (push/pull)",
+            "flooding (upper bound)",
+        ):
+            rows = [line.split(label, 1)[1] for line in out.splitlines() if label in line]
+            assert len(rows) == 1, label
+            # reliability, atomic rate, messages per member, rounds
+            values = [float(value) for value in rows[0].split()]
+            assert len(values) == 4, label
+            assert 0.0 < values[0] <= 1.0, label
+
     def test_reproduce_figures_analytical_path(self, capsys):
         script = EXAMPLES_DIR / "reproduce_figures.py"
         argv_backup = sys.argv

@@ -156,32 +156,6 @@ class TestRL001GlobalRng:
 
 
 class TestRL002HookSignatures:
-    def test_scalar_hook_without_network_flagged(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class BadProtocol:
-                def _disseminate(self, n, alive, source, rng):
-                    return alive, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert codes(violations) == {"RL002"}
-        assert "network" in violations[0].message
-
-    def test_scalar_hook_network_without_default_flagged(self, tmp_path: Path) -> None:
-        violations = lint_source(
-            tmp_path,
-            """
-            class BadProtocol:
-                def _disseminate(self, n, alive, source, rng, network):
-                    return alive, 0, 0
-            """,
-            select=["RL002"],
-        )
-        assert codes(violations) == {"RL002"}
-        assert "default" in violations[0].message
-
     def test_plane_keyword_batch_hook_flagged(self, tmp_path: Path) -> None:
         # The pre-transport contract: the planes as defaulted keywords.
         violations = lint_source(
@@ -227,9 +201,6 @@ class TestRL002HookSignatures:
             tmp_path,
             """
             class GoodProtocol:
-                def _disseminate(self, n, alive, source, rng, network=None):
-                    return alive, 0, 0, 0
-
                 def _disseminate_batch(self, n, alive, source, rng, transport):
                     return alive
             """,
@@ -238,15 +209,11 @@ class TestRL002HookSignatures:
         assert violations == []
 
     def test_kwargs_catchall(self, tmp_path: Path) -> None:
-        # A catch-all still lets the scalar hook receive `network`, but the
-        # batched hook must name its transport.
+        # The hook must name its transport; a catch-all hides it.
         violations = lint_source(
             tmp_path,
             """
             class ForwardingProtocol:
-                def _disseminate(self, n, alive, source, rng, **kwargs):
-                    return alive, 0, 0, 0
-
                 def _disseminate_batch(self, n, alive, source, rng, **kwargs):
                     return alive
             """,
