@@ -24,7 +24,7 @@ from repro.core.percolation import critical_ratio
 from repro.core.reliability import reliability as analytical_reliability
 from repro.simulation.runner import estimate_reliability
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_integer, check_probability
+from repro.utils.validation import check_in_range, check_integer, check_probability
 
 __all__ = ["DistributionSweep", "distribution_ablation", "default_distribution_families"]
 
@@ -124,7 +124,8 @@ def distribution_ablation(
     n:
         Group size for the simulated column.
     mean_fanout:
-        Target mean fanout shared by every family.
+        Target mean fanout shared by every family, at most ``n - 1`` (no
+        member can address more peers than the group holds).
     qs:
         Nonfailed ratios to evaluate.
     families:
@@ -134,6 +135,7 @@ def distribution_ablation(
         Simulation repetitions per cell.
     """
     n = check_integer("n", n, minimum=2)
+    mean_fanout = check_in_range("mean_fanout", mean_fanout, 0.0, n - 1)
     qs = tuple(float(check_probability("q", q)) for q in qs)
     if families is None:
         families = default_distribution_families(mean_fanout)

@@ -471,6 +471,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("analyze", "simulate") and args.fanout > args.members - 1:
+        # No member can address more peers than the group holds.
+        parser.error(
+            f"argument --fanout/-f: mean fanout {args.fanout:g} exceeds "
+            f"--members/-n {args.members} minus 1 ({args.members - 1})"
+        )
     handlers = {
         "analyze": _cmd_analyze,
         "simulate": _cmd_simulate,

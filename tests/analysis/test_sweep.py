@@ -103,3 +103,8 @@ class TestDistributionAblation:
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             distribution_ablation(100, 3.0, qs=[1.5], repetitions=2)
+
+    @pytest.mark.parametrize("mean_fanout", [99.5, 500.0, 1e18])
+    def test_mean_fanout_above_group_rejected(self, mean_fanout):
+        with pytest.raises(ValueError, match="mean_fanout"):
+            distribution_ablation(100, mean_fanout, qs=[0.9], repetitions=2)

@@ -77,6 +77,29 @@ class TestArgumentValidation:
         assert f"argument {flag}: " in line
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "-n", "100", "-f", "1e18", "--family", "geometric"],
+            ["analyze", "-n", "100", "-f", "500", "--family", "fixed"],
+            ["simulate", "-n", "100", "-f", "99.5", "--repetitions", "2"],
+        ],
+    )
+    def test_fanout_above_group_is_a_usage_error(self, argv, capsys):
+        # No member can address more than n - 1 peers.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert "argument --fanout/-f: " in line
+        assert f"mean fanout {float(argv[4]):g} " in line and "--members/-n 100 " in line
+        assert "Traceback" not in err
+
+    def test_fanout_of_n_minus_one_is_accepted(self, capsys):
+        assert main(["analyze", "-n", "100", "-f", "99", "--family", "geometric"]) == 0
+        assert "reliability R(q, P)" in capsys.readouterr().out
+
     def test_closed_ends_are_accepted(self):
         parse = build_parser().parse_args
         assert parse(["analyze", "-q", "0", "--success-target", "0"]).alive_ratio == 0.0
