@@ -2,7 +2,9 @@
 
 The dedup kernel is pinned to ``np.unique``; the padding-free distinct sampler
 is pinned to the padded reference in ``tests/reference`` where both read the
-generator alike (one shared k), and by law everywhere else.
+generator alike (one shared k), and by law everywhere else.  Its collision
+flags, whichever check the batch shape picks, are pinned to the key sort of
+``tests/reference/sampling_keysort.py``.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.simulation.membership import FullView
+from repro.utils import sampling
 from repro.utils.sampling import (
     sample_distinct_flat,
     sample_distinct_rows,
     sample_distinct_rows_excluding,
     unique_unseen,
 )
-from tests.reference import sampling_padded
+from tests.reference import sampling_keysort, sampling_padded
 
 #: Value ranges from "all equal" through heavily repeated to almost all distinct.
 _HIGHS = st.sampled_from([0, 1, 3, 40, 5000, 10**6])
@@ -148,6 +151,15 @@ class TestUniformKMatchesThePaddedReference:
             (20, 10, 300),  # k^2 > 4 population: every row takes the random keys
             (8, 8, 200),  # k = population: full permutations
             (1000, 7, 4000),  # the gossip regime: rare redraws
+            # The shapes a zoo_planes pass draws: group targets and fixed
+            # fanouts, the 30-slot view set-ups, and HyParView's and
+            # lpbcast's slot draws (heavy in redraws).
+            (4999, 4, 100_000),
+            (4999, 2, 50_000),
+            (4999, 8, 20_000),
+            (4999, 30, 20_000),
+            (8, 4, 20_000),
+            (30, 4, 20_000),
         ],
     )
     def test_every_path(self, population, k, m):
@@ -172,6 +184,28 @@ class TestUniformKMatchesThePaddedReference:
         )
         np.testing.assert_array_equal(matrix[valid], ref[ref_valid])
         assert _same_stream(new, old)
+        for same in (exclude.astype(np.int32), exclude.tolist()):
+            again, _ = sample_distinct_rows_excluding(
+                np.random.default_rng(seed), population, ks, same
+            )
+            np.testing.assert_array_equal(again, matrix)
+
+    @pytest.mark.parametrize(
+        "population",
+        [100_000, 3 * 10**9],  # ids past 16 bits in an int32 matrix; past 32 bits in an int64 one
+    )
+    def test_excluding_keeps_wide_ids(self, population):
+        ks = np.full(400, 4, dtype=np.int64)
+        exclude = np.random.default_rng(population).integers(population // 2, population, ks.size)
+        ref, _ = sampling_padded.sample_distinct_rows_excluding(
+            np.random.default_rng(7), population, ks, exclude
+        )
+        for same in (exclude, exclude.tolist()):
+            matrix, valid = sample_distinct_rows_excluding(
+                np.random.default_rng(7), population, ks, same
+            )
+            assert valid.all()
+            np.testing.assert_array_equal(matrix, ref)
 
 
 class TestAnyKs:
@@ -213,6 +247,19 @@ class TestAnyKs:
         assert not (targets == exclude[senders]).any()
         assert np.unique(senders * population + targets).size == targets.size
 
+    @pytest.mark.parametrize("population", [5, 4999])
+    def test_mixed_batch_whose_total_looks_uniform(self, population):
+        """``ks = [3, 2, 4]`` sums to three rows of 3: one k is read from min and max."""
+        ks = np.tile(np.array([3, 2, 4], dtype=np.int64), 500)
+        assert ks.sum() == ks.size * ks[0]
+        values, rows = sample_distinct_flat(np.random.default_rng(5), population, ks)
+        np.testing.assert_array_equal(rows, np.repeat(np.arange(ks.size), ks))
+        cells = values.astype(np.int64) + rows * population
+        assert np.unique(cells).size == values.size
+        matrix, valid = sample_distinct_rows(np.random.default_rng(5), population, ks)
+        np.testing.assert_array_equal(valid.sum(axis=1), ks)
+        np.testing.assert_array_equal(matrix[valid], values)
+
     @given(st.lists(st.integers(-5, 0), max_size=30), st.integers(1, 50))
     def test_zero_or_negative_k_draws_nothing(self, ks, population):
         ks = np.array(ks, dtype=np.int64)
@@ -239,3 +286,74 @@ def test_inclusion_is_uniform_for_every_k_of_a_mixed_batch():
         counts = np.bincount(values[row_k == k], minlength=population)
         assert counts.sum() == per_k * k
         assert stats.chisquare(counts).pvalue > 1e-3, (k, counts)
+
+
+# ---------------------------------------------------------------------------
+# Collision flags by batch shape, pinned to the key sort
+# ---------------------------------------------------------------------------
+
+#: From populations that force collisions to ones that make them rare; the
+#: last two need int64 keys (rows × population ≥ 2³¹) and int64 values.
+_POPULATIONS = st.sampled_from([1, 2, 5, 30, 4999, 10**8, 3 * 10**9])
+
+
+@st.composite
+def flag_batches(draw):
+    """``(values, ks, population)``: cells drawn with replacement, one k or mixed ks."""
+    population = draw(_POPULATIONS)
+    m = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([1, 2, 12, 13, 30]) | st.integers(0, 40))
+        ks = np.full(m, k, dtype=np.int64)
+    else:
+        ks = np.array(draw(st.lists(st.integers(0, 40), min_size=m, max_size=m)), dtype=np.int64)
+    dtype = np.int32 if population + int(ks.max()) < np.iinfo(np.int32).max else np.int64
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, population, int(ks.sum()), dtype=dtype), ks, population
+
+
+class TestCollisionFlags:
+    """Every shape's check flags exactly the rows the key sort flags."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(flag_batches(), st.booleans())
+    @example((np.array([0, 1, 0, 2, 2, 3, 4, 5, 6], dtype=np.int32), np.array([3, 2, 4]), 7), True)
+    def test_equal_to_the_key_sort(self, batch, with_rows):
+        values, ks, population = batch
+        expected = sampling_keysort._collided(values, ks, population)
+        rows = np.repeat(np.arange(ks.size, dtype=np.int64), ks) if with_rows else None
+        np.testing.assert_array_equal(sampling._collided(values, ks, population, rows), expected)
+        if ks.min() == ks.max():
+            np.testing.assert_array_equal(
+                sampling._collided(values, ks, population, uniform=True), expected
+            )
+
+    @pytest.mark.parametrize(
+        ("population", "ks"),
+        [
+            (8, np.full(3000, 4)),  # HyParView's active slots: most rows redraw
+            (30, np.full(3000, 4)),
+            (50, np.full(2000, 13)),  # one k above the pairwise line
+            (200, np.full(1000, 16)),
+            (40, np.random.default_rng(1).poisson(4.0, 3000)),  # mixed k
+            (9, np.random.default_rng(2).integers(0, 8, 3000)),  # some rows take the keys
+        ],
+        ids=["4-of-8", "4-of-30", "13-of-50", "16-of-200", "poisson-of-40", "mixed-of-9"],
+    )
+    def test_equal_in_every_redraw_round(self, monkeypatch, population, ks):
+        """Each sub-batch the kernel flags, first round or redraw, is checked by the key sort."""
+        calls = []
+        real = sampling._collided
+
+        def checked(values, sub_ks, pop, *args, **kwargs):
+            flags = real(values, sub_ks, pop, *args, **kwargs)
+            np.testing.assert_array_equal(flags, sampling_keysort._collided(values, sub_ks, pop))
+            calls.append(sub_ks.size)
+            return flags
+
+        monkeypatch.setattr(sampling, "_collided", checked)
+        sample_distinct_flat(np.random.default_rng(3), population, ks)
+        sample_distinct_rows_excluding(
+            np.random.default_rng(4), population + 1, ks, np.arange(ks.size) % (population + 1)
+        )
+        assert len(calls) > 2  # the redraw rounds were reached
