@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -182,6 +182,15 @@ class FanoutDistribution(ABC):
         return f"{type(self).__name__}({params})"
 
 
+def _closed_form(
+    func: Callable[[np.ndarray], np.ndarray], x: float | np.ndarray
+) -> np.ndarray | float:
+    """Evaluate a closed-form generating function at scalar or array ``x``."""
+    x_arr = np.asarray(x, dtype=float)
+    result = func(x_arr)
+    return float(result) if np.isscalar(x) or x_arr.ndim == 0 else result
+
+
 def _poly_eval(coeffs: np.ndarray, x: float | np.ndarray) -> np.ndarray | float:
     """Evaluate ``Σ coeffs[k] x^k`` for scalar or array ``x`` (ascending order)."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -238,19 +247,16 @@ class PoissonFanout(FanoutDistribution):
 
     # Closed forms (Eqs. 8-9 of the paper).
     def g0(self, x: float | np.ndarray) -> np.ndarray | float:
-        x_arr = np.asarray(x, dtype=float)
-        result = np.exp(self.mean_fanout * (x_arr - 1.0))
-        return float(result) if np.isscalar(x) or x_arr.ndim == 0 else result
+        z = self.mean_fanout
+        return _closed_form(lambda v: np.exp(z * (v - 1.0)), x)
 
     def g0_prime(self, x: float | np.ndarray) -> np.ndarray | float:
-        x_arr = np.asarray(x, dtype=float)
-        result = self.mean_fanout * np.exp(self.mean_fanout * (x_arr - 1.0))
-        return float(result) if np.isscalar(x) or x_arr.ndim == 0 else result
+        z = self.mean_fanout
+        return _closed_form(lambda v: z * np.exp(z * (v - 1.0)), x)
 
     def g0_double_prime(self, x: float | np.ndarray) -> np.ndarray | float:
-        x_arr = np.asarray(x, dtype=float)
-        result = self.mean_fanout**2 * np.exp(self.mean_fanout * (x_arr - 1.0))
-        return float(result) if np.isscalar(x) or x_arr.ndim == 0 else result
+        z = self.mean_fanout
+        return _closed_form(lambda v: z**2 * np.exp(z * (v - 1.0)), x)
 
     def g1(self, x: float | np.ndarray) -> np.ndarray | float:
         return self.g0(x)
@@ -304,6 +310,19 @@ class FixedFanout(FanoutDistribution):
     def sample(self, size: int, seed: SeedLike = None) -> np.ndarray:
         size = check_sample_shape("size", size)
         return np.full(size, self.fanout, dtype=np.int64)
+
+    # Closed forms of G0(x) = x^k and its derivatives; a term whose falling
+    # factorial is 0 is 0 (no negative power of x = 0 is formed).
+    def g0(self, x: float | np.ndarray) -> np.ndarray | float:
+        return _closed_form(lambda v: v**self.fanout, x)
+
+    def g0_prime(self, x: float | np.ndarray) -> np.ndarray | float:
+        k = self.fanout
+        return _closed_form(lambda v: k * v ** (k - 1) if k >= 1 else 0.0 * v, x)
+
+    def g0_double_prime(self, x: float | np.ndarray) -> np.ndarray | float:
+        k = self.fanout
+        return _closed_form(lambda v: k * (k - 1) * v ** (k - 2) if k >= 2 else 0.0 * v, x)
 
     def describe(self) -> dict:
         d = super().describe()
@@ -382,12 +401,29 @@ class GeometricFanout(FanoutDistribution):
     def variance(self) -> float:
         return (1.0 - self.prob) / self.prob**2
 
+    def second_factorial_moment(self) -> float:
+        return 2.0 * (1.0 - self.prob) ** 2 / self.prob**2
+
     def sample(self, size: int, seed: SeedLike = None) -> np.ndarray:
         size = check_sample_shape("size", size)
         rng = as_generator(seed)
         # numpy's geometric counts trials until first success (support >= 1);
         # shift to the number of failures to get support {0, 1, ...}.
         return (rng.geometric(self.prob, size=size) - 1).astype(np.int64)
+
+    # Closed forms of G0(x) = p / (1 - (1-p) x): the truncated series would
+    # run to about 27.6 times the mean.
+    def g0(self, x: float | np.ndarray) -> np.ndarray | float:
+        p = self.prob
+        return _closed_form(lambda v: p / (1.0 - (1.0 - p) * v), x)
+
+    def g0_prime(self, x: float | np.ndarray) -> np.ndarray | float:
+        p = self.prob
+        return _closed_form(lambda v: p * (1.0 - p) / (1.0 - (1.0 - p) * v) ** 2, x)
+
+    def g0_double_prime(self, x: float | np.ndarray) -> np.ndarray | float:
+        p = self.prob
+        return _closed_form(lambda v: 2.0 * p * (1.0 - p) ** 2 / (1.0 - (1.0 - p) * v) ** 3, x)
 
     def describe(self) -> dict:
         d = super().describe()
@@ -426,10 +462,36 @@ class UniformFanout(FanoutDistribution):
         width = self.high - self.low + 1
         return (width**2 - 1) / 12.0
 
+    def second_factorial_moment(self) -> float:
+        k = np.arange(self.low, self.high + 1, dtype=float)
+        return float(np.mean(k * (k - 1)))
+
     def sample(self, size: int, seed: SeedLike = None) -> np.ndarray:
         size = check_sample_shape("size", size)
         rng = as_generator(seed)
         return rng.integers(self.low, self.high + 1, size=size, dtype=np.int64)
+
+    # The generating functions sum over the support [low, high] only, not over
+    # the zero mass below ``low`` that the PMF array carries.
+    def _support_series(self, x: float | np.ndarray, order: int) -> np.ndarray | float:
+        """``Σ_{k=low}^{high} k(k-1)…(k-order+1) x^(k-order) / (high - low + 1)``."""
+        k = np.arange(max(self.low, order), self.high + 1, dtype=float)
+        weight = np.ones_like(k)
+        for i in range(order):
+            weight *= k - i
+        width = self.high - self.low + 1
+        return _closed_form(
+            lambda v: (weight * v[..., None] ** (k - order)).sum(axis=-1) / width, x
+        )
+
+    def g0(self, x: float | np.ndarray) -> np.ndarray | float:
+        return self._support_series(x, 0)
+
+    def g0_prime(self, x: float | np.ndarray) -> np.ndarray | float:
+        return self._support_series(x, 1)
+
+    def g0_double_prime(self, x: float | np.ndarray) -> np.ndarray | float:
+        return self._support_series(x, 2)
 
     def describe(self) -> dict:
         d = super().describe()

@@ -138,11 +138,13 @@ def _solve_u(dist: FanoutDistribution, q: float) -> float:
 def giant_component_size(dist: FanoutDistribution, q: float) -> float:
     """Return the paper's reliability ``R(q, P) = 1 − G0(u)`` (Eq. 4 normalised).
 
-    ``u`` solves ``u = 1 − q + q G1(u)``.  Below the critical point the only
-    solution is ``u = 1`` and the size is 0.
+    ``u`` solves ``u = 1 − q + q G1(u)``.  At or below the critical point
+    (``q <= critical_ratio(dist)``, Eq. 3) the only solution is ``u = 1`` and
+    the size is exactly 0; the numerical solver would stop just short of
+    ``u = 1`` there and report a spurious size of about 1e-12.
     """
     q = check_probability("q", q)
-    if q == 0.0 or dist.mean() <= 0:
+    if q == 0.0 or dist.mean() <= 0 or not q > critical_ratio(dist):
         return 0.0
     u = _solve_u(dist, q)
     size = 1.0 - float(dist.g0(u))
@@ -190,13 +192,17 @@ def percolation_analysis(dist: FanoutDistribution, q: float) -> PercolationResul
             giant_component_size_all=0.0,
             mean_component_size=0.0 if q == 0.0 else q,
         )
-    u = _solve_u(dist, q)
-    size = float(min(max(1.0 - float(dist.g0(u)), 0.0), 1.0))
+    supercritical = bool(q > qc)
+    # At or below the critical point (Eq. 3) the only root is u = 1.
+    u, size = 1.0, 0.0
+    if supercritical:
+        u = _solve_u(dist, q)
+        size = float(min(max(1.0 - float(dist.g0(u)), 0.0), 1.0))
     return PercolationResult(
         q=q,
         mean_fanout=mean_fanout,
         critical_ratio=qc,
-        supercritical=bool(q > qc),
+        supercritical=supercritical,
         u=u,
         giant_component_size=size,
         giant_component_size_all=q * size,

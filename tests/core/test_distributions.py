@@ -248,6 +248,48 @@ class TestUniformFanout:
             UniformFanout(5, 2)
 
 
+class TestClosedFormGeneratingFunctions:
+    """The geometric, fixed and uniform closed forms equal the PMF series."""
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            GeometricFanout.from_mean(0.4),
+            GeometricFanout.from_mean(1.0),
+            GeometricFanout.from_mean(4.0),
+            GeometricFanout(1.0),
+            FixedFanout(0),
+            FixedFanout(1),
+            FixedFanout(2),
+            FixedFanout(7),
+            UniformFanout(0, 0),
+            UniformFanout(1, 1),
+            UniformFanout(0, 2),
+            UniformFanout(3, 9),
+        ],
+        ids=repr,
+    )
+    def test_equal_to_the_series(self, dist):
+        # 800 terms leave less than 1e-40 of the geometric mass (mean 4) out.
+        pmf = dist.pmf_array(k_max=800)
+        k = np.arange(pmf.size)
+        xs = np.linspace(0.0, 1.0, 21)
+        series = {
+            "g0": pmf,
+            "g0_prime": (k * pmf)[1:],
+            "g0_double_prime": (k * (k - 1) * pmf)[2:],
+        }
+        for name, coeffs in series.items():
+            closed = getattr(dist, name)
+            expected = np.polynomial.polynomial.polyval(xs, coeffs)
+            np.testing.assert_allclose(closed(xs), expected, rtol=1e-12, atol=1e-12)
+            assert closed(0.5) == pytest.approx(expected[10], rel=1e-12, abs=1e-12)
+            assert isinstance(closed(0.5), float)
+        assert dist.second_factorial_moment() == pytest.approx(
+            float(np.sum(k * (k - 1) * pmf)), rel=1e-12
+        )
+
+
 class TestZipfFanout:
     def test_pmf_decreasing(self):
         pmf = ZipfFanout(2.0, 20).pmf_array()

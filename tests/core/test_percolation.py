@@ -13,6 +13,7 @@ from repro.core.distributions import (
     FixedFanout,
     GeometricFanout,
     PoissonFanout,
+    UniformFanout,
     ZipfFanout,
 )
 from repro.core.percolation import (
@@ -109,6 +110,25 @@ class TestGiantComponentSize:
 
     def test_zero_mean_distribution(self):
         assert giant_component_size(FixedFanout(0), 0.9) == 0.0
+
+    @pytest.mark.parametrize(
+        ("dist", "q"),
+        [
+            (UniformFanout(0, 2), 0.9),  # q_c = 1.5
+            (GeometricFanout.from_mean(0.4), 0.9),  # q_c = 1.25
+            (GeometricFanout.from_mean(1.0), 0.5),  # exactly at q_c = 0.5
+        ],
+        ids=["uniform-0-2", "geometric-0.4", "geometric-1-at-q_c"],
+    )
+    def test_exactly_zero_at_or_below_threshold(self, dist, q):
+        """The solver stops just short of u = 1 there; Eq. 3 decides, as ``supercritical`` does."""
+        assert q <= critical_ratio(dist)
+        assert giant_component_size(dist, q) == 0.0
+        assert giant_component_size_all_nodes(dist, q) == 0.0
+        result = percolation_analysis(dist, q)
+        assert not result.supercritical
+        assert result.giant_component_size == result.giant_component_size_all == 0.0
+        assert result.u == 1.0
 
     def test_q_zero_gives_zero(self):
         assert giant_component_size(PoissonFanout(5.0), 0.0) == 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -122,6 +123,35 @@ class TestAnalyze:
         assert main(["analyze", "-f", "1.0", "-q", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "unreachable" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-f", "0.001", "--family", "uniform"], ["-f", "0.4", "--family", "geometric"]],
+        ids=["uniform", "geometric"],
+    )
+    def test_subcritical_other_family_is_unreachable(self, argv, capsys):
+        assert main(["analyze", "-n", "1000", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "supercritical            : False" in out
+        assert "reliability R(q, P)      : 0.0000" in out
+        assert "unreachable" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-n", "2000000", "-f", "999999", "--family", "geometric"],
+            ["-n", "100000000", "-f", "99999998", "--family", "geometric"],
+            ["-n", "100000000", "-f", "99999998", "--family", "fixed"],
+            ["-n", "100000000", "-f", "99999998", "--family", "uniform"],
+        ],
+        ids=["geometric-1e6", "geometric-1e8", "fixed-1e8", "uniform-1e8"],
+    )
+    def test_large_mean_answers_in_seconds(self, argv, capsys):
+        """The generating functions do not build arrays that grow with the mean."""
+        start = time.process_time()
+        assert main(["analyze", *argv]) == 0
+        assert time.process_time() - start < 5.0
+        assert "supercritical            : True" in capsys.readouterr().out
 
     def test_other_families(self, capsys):
         for family in ("fixed", "geometric", "uniform"):
