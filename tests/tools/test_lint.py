@@ -3,7 +3,8 @@
 Each rule gets at least one *failing* fixture (a small source snippet that
 must trigger the rule) and one *clean* fixture (the compliant shape of the
 same code).  The live-tree test at the bottom pins the acceptance criterion:
-``python -m tools.lint src benchmarks`` exits 0 on the repository itself.
+``python -m tools.lint src benchmarks perfbench tests/reference`` (the CI
+step's paths) exits 0 on the repository itself.
 """
 
 from __future__ import annotations
@@ -745,8 +746,13 @@ def run_lint_cli(*args: str) -> subprocess.CompletedProcess[str]:
 
 class TestCli:
     def test_live_tree_is_clean(self) -> None:
-        """Acceptance criterion: the repository itself passes repro-lint."""
-        result = run_lint_cli("src", "benchmarks")
+        """Acceptance criterion: the repository itself passes repro-lint.
+
+        The same paths as the CI lint step: the parity oracles under
+        ``tests/reference`` pin fixed-seed streams, so they are held to the
+        generator rules too.
+        """
+        result = run_lint_cli("src", "benchmarks", "perfbench", "tests/reference")
         assert result.returncode == 0, result.stdout + result.stderr
 
     def test_broken_invariant_fails_the_run(self, tmp_path: Path) -> None:
