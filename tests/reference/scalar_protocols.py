@@ -12,8 +12,7 @@ protocol instance dispatched by its class:
 * :func:`simulate_gossip_once` is the scalar frontier (BFS) simulation of
   the paper's Fig. 1 algorithm, which the random-fanout body calls.
 
-The tests pin the batched engines to these oracles in distribution, and the
-ratio benches in ``benchmarks/`` time them against the batched engines.
+The tests pin the batched engines to these oracles in distribution.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Each rule gets at least one *failing* fixture (a small source snippet that
 must trigger the rule) and one *clean* fixture (the compliant shape of the
 same code).  The live-tree test at the bottom pins the acceptance criterion:
-``python -m tools.lint src benchmarks perfbench tests/reference`` (the CI
+``python -m tools.lint src perfbench tests/reference`` (the CI
 step's paths) exits 0 on the repository itself.
 """
 
@@ -752,7 +752,7 @@ class TestCli:
         ``tests/reference`` pin fixed-seed streams, so they are held to the
         generator rules too.
         """
-        result = run_lint_cli("src", "benchmarks", "perfbench", "tests/reference")
+        result = run_lint_cli("src", "perfbench", "tests/reference")
         assert result.returncode == 0, result.stdout + result.stderr
 
     def test_broken_invariant_fails_the_run(self, tmp_path: Path) -> None:

@@ -54,9 +54,6 @@ def collect_markdown_files(root: Path) -> list:
     docs = root / "docs"
     if docs.is_dir():
         files.extend(sorted(docs.rglob("*.md")))
-    benchmarks = root / "benchmarks"
-    if benchmarks.is_dir():
-        files.extend(sorted(benchmarks.rglob("*.md")))
     return files
 
 

@@ -15,7 +15,7 @@ production numbers.
 
 Run it from the repository root::
 
-    python -m tools.lint src benchmarks
+    python -m tools.lint src perfbench tests/reference
 
 Rules (see ``docs/ARCHITECTURE.md`` § "Static invariants" for the runtime
 contract each protects):

@@ -1,4 +1,4 @@
-"""Command-line entry point: ``python -m tools.lint src benchmarks``.
+"""Command-line entry point: ``python -m tools.lint src perfbench tests/reference``.
 
 Exit codes: 0 when clean, 1 when violations were found, 2 on usage errors
 (unknown rule code, missing path, unparseable file).
@@ -44,7 +44,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if not options.paths:
         parser.print_usage(sys.stderr)
-        print("error: no paths given (try: python -m tools.lint src benchmarks)", file=sys.stderr)
+        print("error: no paths given (try: python -m tools.lint src perfbench tests/reference)", file=sys.stderr)
         return 2
     missing = [path for path in options.paths if not path.exists()]
     if missing:

@@ -1,10 +1,11 @@
 """RL005 — no wall-clock reads in simulation or benchmark code.
 
 Runtime contract protected: results are a pure function of (configuration,
-seed).  A wall-clock read anywhere in ``src/`` or ``benchmarks/`` is either
-a hidden seed (breaking replayability) or a hidden measurement bias
-(``time.time`` is not monotonic; NTP steps it mid-benchmark, which is why
-the benchmark harness standardises on ``time.perf_counter``).
+seed).  A wall-clock read anywhere in ``src/``, ``perfbench/`` or the parity
+oracles is either a hidden seed (breaking replayability) or a hidden
+measurement bias (``time.time`` is not monotonic; NTP steps it mid-benchmark,
+which is why perfbench times work with ``time.process_time`` and bounds a
+run's length with ``time.perf_counter``).
 
 Flagged calls: ``time.time``, ``time.time_ns``, ``datetime.now``,
 ``datetime.utcnow``, ``datetime.today``, ``date.today`` (through the module
