@@ -4,7 +4,6 @@ from repro.analysis.compare import SeriesComparison, compare_series, compare_swe
 from repro.analysis.dimensioning import (
     DimensioningResult,
     analytic_required_fanout,
-    dense_grid_dimension,
     dimension_fanout,
     wilson_interval,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "compare_sweep",
     "DimensioningResult",
     "analytic_required_fanout",
-    "dense_grid_dimension",
     "dimension_fanout",
     "wilson_interval",
     "DistributionSweep",

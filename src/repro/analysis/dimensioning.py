@@ -39,12 +39,6 @@ precedent: a cheap ensemble estimator inside a parameter scan):
    fanout is known an integer bisection over rounds finds the smallest
    horizon that still meets the target.
 
-:func:`dense_grid_dimension` is the naive reference the solver is benchmarked
-against (``benchmarks/bench_dimensioning.py``): it walks a fixed fanout grid
-at the full replica budget per point.  Both report the replicas they consumed
-so the benchmark compares *statistical* cost, which — unlike wall-clock — is
-machine-independent and therefore safe to regression-gate.
-
 :func:`dimension_pareto` generalises the lexicographic protocol-mode answer
 (minimal fanout, then minimal rounds at that fanout) to the **joint**
 ``(fanout, rounds)`` trade-off: it returns the full Pareto frontier of
@@ -60,10 +54,10 @@ Loss semantics (the contract)
 ``loss`` means the same thing everywhere in this module: an **independent
 per-message (per-leg) Bernoulli drop probability**, applied by the engines'
 :class:`~repro.simulation.network.NetworkModel` plane to every point-to-point
-send.  Both :func:`dimension_fanout` and :func:`dense_grid_dimension` measure
-candidates with those per-message semantics, so their answers are directly
-comparable (cross-checked at ``p = 0.25`` in
-``tests/analysis/test_dimensioning.py``).
+send.  :func:`dimension_fanout` and :func:`dimension_pareto` measure every
+candidate with those per-message semantics (cross-checked at ``p = 0.25`` in
+``tests/analysis/test_dimensioning.py``, which also holds the solver to a
+dense-grid walk over the same evaluator, ``tests/reference/dimensioning_grid.py``).
 
 *Effective-fanout thinning* — treating a fanout-``f`` member under loss ``p``
 like a fanout-``f(1-p)`` member on a loss-free network — appears **only** in
@@ -97,9 +91,9 @@ from repro.utils.validation import check_integer, check_probability
 _T = TypeVar("_T")
 
 #: Oracle sampler: ``(fanout, rounds, repetitions, seed)`` to per-replica
-#: reliabilities, optionally paired with per-replica per-member costs.
+#: reliabilities and per-replica messages per member.
 _EvaluateBatch: TypeAlias = (
-    "Callable[[float, int | None, int, SeedLike], np.ndarray | tuple[np.ndarray, np.ndarray]]"
+    "Callable[[float, int | None, int, SeedLike], tuple[np.ndarray, np.ndarray]]"
 )
 
 #: Protocol-mode candidate builder: ``(fanout, rounds)`` to a protocol.
@@ -110,7 +104,6 @@ __all__ = [
     "analytic_required_fanout",
     "DimensioningResult",
     "dimension_fanout",
-    "dense_grid_dimension",
     "pareto_frontier",
     "ParetoCandidate",
     "ParetoDimensioningResult",
@@ -225,8 +218,9 @@ class DimensioningResult:
     ci_low, ci_high:
         Wilson interval of ``achieved_reliability`` at the stated confidence.
     replicas_used:
-        Total Monte-Carlo replicas consumed across the whole solve — the
-        statistical cost the benchmark compares against the dense grid.
+        Total Monte-Carlo replicas consumed across the whole solve: the
+        solve's statistical cost, which unlike its run time does not depend
+        on the machine.
     evaluations:
         Number of candidate ``(fanout, rounds)`` points simulated.
     feasible:
@@ -273,8 +267,8 @@ class _FeasibilityOracle:
 
     def __init__(
         self,
-        evaluate_batch: _EvaluateBatch,  # (fanout, rounds, repetitions, seed) -> (R,) reliabilities
-        *,               # ... or ((R,) reliabilities, (R,) per-member costs)
+        evaluate_batch: _EvaluateBatch,
+        *,
         target: float,
         confidence: float,
         initial_replicas: int,
@@ -289,8 +283,8 @@ class _FeasibilityOracle:
         self._rng = rng
         self.replicas_used = 0
         self.evaluations = 0
-        #: Mean per-member payload cost observed during the most recent
-        #: decision (NaN when the evaluator does not report costs).
+        #: Mean messages per member over the replicas of the most recent
+        #: decision (NaN before the first).
         self.last_cost = math.nan
 
     def decide(self, fanout: float, rounds: int | None) -> tuple[bool, float, float, float, bool]:
@@ -314,16 +308,13 @@ class _FeasibilityOracle:
         self.evaluations += 1
         samples = np.empty(0, dtype=float)
         costs = np.empty(0, dtype=float)
-        self.last_cost = math.nan
         block = self.initial_replicas
         while True:
             block = min(block, self.max_replicas - samples.size)
             seed = spawn_seeds(1, self._rng)[0]
-            new = self._evaluate_batch(fanout, rounds, block, seed)
-            if isinstance(new, tuple):
-                new, cost_block = new
-                costs = np.concatenate([costs, np.asarray(cost_block, dtype=float)])
-                self.last_cost = float(costs.mean())
+            new, cost_block = self._evaluate_batch(fanout, rounds, block, seed)
+            costs = np.concatenate([costs, np.asarray(cost_block, dtype=float)])
+            self.last_cost = float(costs.mean())
             self.replicas_used += block
             samples = np.concatenate([samples, np.asarray(new, dtype=float)])
             mean = float(samples.mean())
@@ -344,11 +335,14 @@ def _gossip_evaluator(
     distribution_factory: Callable[[float], FanoutDistribution],
     conditional_on_spread: bool,
 ) -> _EvaluateBatch:
-    """Return the batched-gossip-engine reliability sampler for the oracle."""
+    """Return the batched-gossip-engine sampler for the oracle.
+
+    Its costs are messages sent per member, the cost a surface cell reports.
+    """
 
     def evaluate(
         fanout: float, rounds: int | None, repetitions: int, seed: SeedLike
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         network = NetworkModel(loss_probability=loss) if loss > 0.0 else None
         result = simulate_gossip_batch(
             n,
@@ -366,7 +360,7 @@ def _gossip_evaluator(
             # *dimensioned* deployment must also take off reliably, so the
             # oracle charges failures-to-spread against the target.
             reliability = np.where(spread, reliability, 0.0)
-        return reliability
+        return reliability, result.messages_sent / n
 
     return evaluate
 
@@ -378,11 +372,16 @@ def _protocol_evaluator(
     protocol_factory: _ProtocolFactory,
     failure_model: FailureModel | None,
 ) -> _EvaluateBatch:
-    """Return the batched-protocol-engine reliability sampler for the oracle."""
+    """Return the batched-protocol-engine sampler for the oracle.
+
+    Its costs are payload messages per member, so the oracle's ``last_cost``
+    after a decision is the measured bandwidth price of the candidate: the
+    objective :func:`dimension_pareto` minimises.
+    """
 
     def evaluate(
         fanout: float, rounds: int | None, repetitions: int, seed: SeedLike
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         assert rounds is not None  # protocol mode always carries a horizon
         protocol = protocol_factory(int(round(fanout)), int(rounds))
         network = NetworkModel(loss_probability=loss) if loss > 0.0 else None
@@ -395,7 +394,7 @@ def _protocol_evaluator(
             failure_model=failure_model,
             network=network,
         )
-        return result.reliability()
+        return result.reliability(), result.payload_messages_per_member()
 
     return evaluate
 
@@ -625,139 +624,6 @@ def dimension_fanout(
     )
 
 
-def dense_grid_dimension(
-    n: int,
-    q: float,
-    target_reliability: float,
-    *,
-    loss: float = 0.0,
-    distribution_factory: Callable[[float], FanoutDistribution] = PoissonFanout,
-    confidence: float = 0.95,
-    fanout_step: float = 0.25,
-    replicas_per_point: int = 192,
-    max_fanout: float = 64.0,
-    conditional_on_spread: bool = False,
-    seed: SeedLike = None,
-) -> DimensioningResult:
-    """Naive dense-grid inverse: the benchmark reference for the solver.
-
-    Walks the fanout grid ``min, min+step, ...`` upward, spending the *full*
-    replica budget at every point (a fixed-grid sweep cannot know in advance
-    which points sit on the decision boundary), and returns the first grid
-    point whose Wilson lower bound clears the target.  Same decision rule,
-    same engines, and the same per-message loss semantics
-    (:ref:`the loss contract <loss-semantics>`) as :func:`dimension_fanout`,
-    so the comparison in ``BENCH_dimensioning.json`` isolates the search
-    strategy.
-    """
-    n = check_integer("n", n, minimum=2)
-    q = check_probability("q", q)
-    target_reliability = check_probability(
-        "target_reliability", target_reliability, allow_zero=False, allow_one=False
-    )
-    loss = check_probability("loss", loss)
-    if fanout_step <= 0:
-        raise ValueError(f"fanout_step must be positive, got {fanout_step}")
-    rng = as_generator(seed)
-    evaluate = _gossip_evaluator(n, q, loss, distribution_factory, conditional_on_spread)
-
-    # A point can only ever certify if its budget clears the Wilson floor
-    # z^2 rho / (1 - rho) (the perfect-sample bound) — otherwise the grid
-    # degenerates into scanning to max_fanout without ever stopping.
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
-    replicas_per_point = max(
-        replicas_per_point,
-        int(math.ceil(z * z * target_reliability / (1.0 - target_reliability))) + 1,
-    )
-    start = max(1e-3, 0.5 / max(q * (1.0 - loss), 1e-9))
-    replicas_used = 0
-    evaluations = 0
-    mean, ci_lo, ci_hi = 0.0, 0.0, 1.0
-    fanout = start
-    while fanout <= max_fanout:
-        evaluations += 1
-        samples = evaluate(fanout, None, replicas_per_point, spawn_seeds(1, rng)[0])
-        replicas_used += replicas_per_point
-        mean = float(np.mean(samples))
-        ci_lo, ci_hi = wilson_interval(float(np.sum(samples)), len(samples), confidence)
-        if ci_lo >= target_reliability:
-            return DimensioningResult(
-                n=n,
-                q=q,
-                target_reliability=target_reliability,
-                loss=loss,
-                confidence=confidence,
-                fanout=float(fanout),
-                rounds=None,
-                analytical_fanout=analytic_required_fanout(
-                    target_reliability,
-                    q,
-                    loss=loss,
-                    distribution_factory=distribution_factory,
-                ),
-                achieved_reliability=mean,
-                ci_low=ci_lo,
-                ci_high=ci_hi,
-                replicas_used=replicas_used,
-                evaluations=evaluations,
-                feasible=True,
-            )
-        fanout += fanout_step
-    return DimensioningResult(
-        n=n,
-        q=q,
-        target_reliability=target_reliability,
-        loss=loss,
-        confidence=confidence,
-        fanout=float(max_fanout),
-        rounds=None,
-        analytical_fanout=analytic_required_fanout(
-            target_reliability, q, loss=loss, distribution_factory=distribution_factory
-        ),
-        achieved_reliability=mean,
-        ci_low=ci_lo,
-        ci_high=ci_hi,
-        replicas_used=replicas_used,
-        evaluations=evaluations,
-        feasible=False,
-        certified=bool(ci_hi < target_reliability),
-    )
-
-
-def _protocol_cost_evaluator(
-    n: int,
-    q: float,
-    loss: float,
-    protocol_factory: _ProtocolFactory,
-    failure_model: FailureModel | None,
-) -> _EvaluateBatch:
-    """Return a batched-protocol sampler reporting ``(reliabilities, costs)``.
-
-    ``costs`` are per-replica payload messages per member, so the oracle's
-    ``last_cost`` after a decision is the measured bandwidth price of the
-    candidate — the objective :func:`dimension_pareto` minimises.
-    """
-
-    def evaluate(
-        fanout: float, rounds: int | None, repetitions: int, seed: SeedLike
-    ) -> tuple[np.ndarray, np.ndarray]:
-        assert rounds is not None  # Pareto solves always carry a horizon
-        protocol = protocol_factory(int(round(fanout)), int(rounds))
-        network = NetworkModel(loss_probability=loss) if loss > 0.0 else None
-        result = simulate_protocol_batch(
-            protocol,
-            n,
-            q,
-            repetitions=repetitions,
-            seed=seed,
-            failure_model=failure_model,
-            network=network,
-        )
-        return result.reliability(), result.payload_messages_per_member()
-
-    return evaluate
-
-
 def pareto_frontier(items: Iterable[_T], *, keys: Callable[[_T], Sequence[float]]) -> list[_T]:
     """Return the non-dominated subset of ``items``, minimising every key.
 
@@ -955,7 +821,7 @@ def dimension_pareto(
     max_replicas = max(max_replicas, wilson_floor + initial_replicas)
 
     oracle = _FeasibilityOracle(
-        _protocol_cost_evaluator(n, q, loss, protocol_factory, failure_model),
+        _protocol_evaluator(n, q, loss, protocol_factory, failure_model),
         target=target_reliability,
         confidence=confidence,
         initial_replicas=initial_replicas,

@@ -30,12 +30,11 @@ seed the whole grid reproduces bit-for-bit, serial or process-parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import partial
 
 from repro.analysis.dimensioning import dimension_fanout
-from repro.protocols.base import Protocol
 from repro.analysis.tables import dimensioning_to_table
-from repro.experiments.protocol_comparison import protocol_zoo
+from repro.experiments.protocol_comparison import zoo_protocol
 from repro.utils.parallel import parallel_map
 from repro.utils.rng import spawn_seeds
 from repro.utils.validation import check_integer, check_probability
@@ -288,15 +287,6 @@ class DimensioningExperimentResult:
         return problems
 
 
-def _protocol_factory(protocol_id: str) -> Callable[[int, int], Protocol]:
-    """Return a picklable ``(fanout, rounds) -> Protocol`` builder for one id."""
-
-    def build(fanout: int, rounds: int) -> Protocol:
-        return dict(protocol_zoo(fanout, rounds))[protocol_id]
-
-    return build
-
-
 def _solve_cell(args: tuple) -> tuple:
     """Process-pool worker: run the solver on one grid cell.
 
@@ -322,7 +312,7 @@ def _solve_cell(args: tuple) -> tuple:
         q,
         target,
         loss=loss,
-        protocol_factory=_protocol_factory(protocol_id),
+        protocol_factory=partial(zoo_protocol, protocol_id),
         rounds=rounds,
         solve_rounds=protocol_id in ROUND_BASED_PROTOCOLS,
         confidence=confidence,

@@ -25,17 +25,22 @@ run through :func:`repro.experiments.grid.run_grid`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.core.distributions import PoissonFanout
 from repro.experiments.grid import Cell, GridResult, mean_std, run_grid
 from repro.simulation.protocol_batch import BatchProtocolResult
 from repro.utils.validation import check_integer, check_probability
 
+if TYPE_CHECKING:
+    from repro.protocols.base import Protocol
+
 __all__ = [
     "ProtocolComparisonConfig",
     "ProtocolPoint",
     "ProtocolComparisonResult",
     "protocol_zoo",
+    "zoo_protocol",
     "run_protocol_comparison",
 ]
 
@@ -118,6 +123,19 @@ def protocol_zoo(
             ("anti-entropy", AntiEntropyProtocol(fanout=max(1, f // 2), rounds=rounds)),
         )
     return rows
+
+
+def zoo_protocol(protocol_id: str, fanout: int, rounds: int) -> Protocol:
+    """Return the zoo's ``protocol_id`` row at ``(fanout, rounds)``.
+
+    The solvers and the surface build probe many ``(fanout, rounds)``
+    candidates of one protocol, so they take ``functools.partial(zoo_protocol,
+    protocol_id)`` as their ``(fanout, rounds) -> Protocol`` builder.  A
+    partial of a module-level function pickles into a process pool; a nested
+    closure does not.  Raises ``KeyError`` for an id outside the zoo.
+    """
+    zoo = protocol_zoo(fanout, rounds, include_peer_sampling=True, include_recovery=True)
+    return dict(zoo)[protocol_id]
 
 
 @dataclass(frozen=True)

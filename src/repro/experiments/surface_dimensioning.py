@@ -37,19 +37,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from functools import partial
 
 from repro.analysis.dimensioning import (
     ParetoCandidate,
     dimension_fanout,
     dimension_pareto,
 )
+from repro.experiments.protocol_comparison import zoo_protocol
 from repro.utils.rng import spawn_seeds
 from repro.utils.tables import format_table
 from repro.utils.validation import check_integer, check_probability
-
-if TYPE_CHECKING:
-    from repro.protocols.base import Protocol
 
 __all__ = [
     "SurfaceDimensioningConfig",
@@ -351,13 +349,6 @@ class SurfaceDimensioningResult:
         return problems
 
 
-def _fixed_fanout_factory(fanout: int, rounds: int) -> Protocol:
-    """Picklable fixed-fanout builder for the targeted-crash section."""
-    from repro.experiments.protocol_comparison import protocol_zoo
-
-    return dict(protocol_zoo(fanout, rounds))["fixed-fanout"]
-
-
 def run_surface_dimensioning(
     config: SurfaceDimensioningConfig | None = None,
 ) -> SurfaceDimensioningResult:
@@ -454,9 +445,7 @@ def run_surface_dimensioning(
         config.pareto_n,
         0.9,
         config.targets[-1],
-        protocol_factory=_fixed_fanout_factory
-        if config.pareto_protocol == "fixed-fanout"
-        else _pareto_factory(config.pareto_protocol),
+        protocol_factory=partial(zoo_protocol, config.pareto_protocol),
         max_rounds=config.pareto_max_rounds,
         seed=int(aux_seeds[1]),
     )
@@ -467,7 +456,7 @@ def run_surface_dimensioning(
         config.targeted_n,
         config.targeted_q,
         config.targeted_target,
-        protocol_factory=_fixed_fanout_factory,
+        protocol_factory=partial(zoo_protocol, "fixed-fanout"),
         rounds=config.pareto_max_rounds,
         seed=int(aux_seeds[2]),
     )
@@ -475,7 +464,7 @@ def run_surface_dimensioning(
         config.targeted_n,
         config.targeted_q,
         config.targeted_target,
-        protocol_factory=_fixed_fanout_factory,
+        protocol_factory=partial(zoo_protocol, "fixed-fanout"),
         rounds=config.pareto_max_rounds,
         failure_model=targeted_model,
         seed=int(aux_seeds[3]),
@@ -492,14 +481,3 @@ def run_surface_dimensioning(
         targeted_fanout=targeted.fanout,
         uniform_fanout=uniform.fanout,
     )
-
-
-def _pareto_factory(protocol_id: str) -> Callable[[int, int], Protocol]:
-    """Picklable ``(fanout, rounds) -> Protocol`` builder for one zoo id."""
-
-    def build(fanout: int, rounds: int) -> Protocol:
-        from repro.experiments.protocol_comparison import protocol_zoo
-
-        return dict(protocol_zoo(fanout, rounds))[protocol_id]
-
-    return build

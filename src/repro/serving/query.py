@@ -48,7 +48,6 @@ from repro.serving.surface import (
     GOSSIP_PROTOCOLS,
     ReliabilitySurface,
     cell_distribution,
-    cell_protocol,
 )
 from repro.utils.validation import check_probability
 
@@ -565,7 +564,9 @@ def dimension_from_surface(
         live_kwargs.setdefault("conditional_on_spread", surface.conditional_on_spread)
         live_kwargs.setdefault("distribution_factory", partial(cell_distribution, surface.protocol))
     else:
-        live_kwargs.setdefault("protocol_factory", partial(cell_protocol, surface.protocol))
+        from repro.experiments.protocol_comparison import zoo_protocol
+
+        live_kwargs.setdefault("protocol_factory", partial(zoo_protocol, surface.protocol))
         live_kwargs.setdefault("rounds", max(surface.grid.rounds))
         live_kwargs.setdefault("solve_rounds", True)
     live_kwargs.setdefault("seed", surface.seed)

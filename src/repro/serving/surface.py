@@ -51,7 +51,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -64,9 +64,6 @@ from repro.simulation.protocol_batch import simulate_protocol_batch
 from repro.utils.parallel import parallel_map
 from repro.utils.rng import spawn_seeds
 from repro.utils.validation import check_integer, check_probability
-
-if TYPE_CHECKING:
-    from repro.protocols.base import Protocol
 
 __all__ = [
     "SURFACE_FORMAT_VERSION",
@@ -372,14 +369,6 @@ def cell_distribution(protocol: str, fanout: float) -> FanoutDistribution:
     return default_distribution_families(float(fanout))[family]
 
 
-def cell_protocol(protocol: str, fanout: int, rounds: int) -> Protocol:
-    """Build the protocol of a protocol-zoo surface cell from its id."""
-    from repro.experiments.protocol_comparison import protocol_zoo
-
-    zoo = protocol_zoo(fanout, rounds, include_peer_sampling=True, include_recovery=True)
-    return dict(zoo)[protocol]
-
-
 def _build_cell(args: tuple) -> tuple:
     """Process-pool worker: evaluate one grid cell.
 
@@ -403,8 +392,10 @@ def _build_cell(args: tuple) -> tuple:
             reliability = np.where(result.spread_occurred(), reliability, 0.0)
         cost = float(np.mean(result.messages_sent / n))
     else:
+        from repro.experiments.protocol_comparison import zoo_protocol
+
         result = simulate_protocol_batch(
-            cell_protocol(protocol, int(round(fanout)), int(rounds)),
+            zoo_protocol(protocol, int(round(fanout)), int(rounds)),
             n,
             q,
             repetitions=repetitions,

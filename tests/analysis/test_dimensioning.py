@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.analysis.dimensioning import (
     analytic_required_fanout,
-    dense_grid_dimension,
     dimension_fanout,
     dimension_pareto,
     pareto_frontier,
@@ -16,8 +17,10 @@ from repro.analysis.dimensioning import (
 from repro.core.distributions import GeometricFanout, PoissonFanout
 from repro.core.poisson_case import mean_fanout_for_reliability, poisson_reliability
 from repro.core.reliability import reliability as analytical_reliability
+from repro.experiments.protocol_comparison import zoo_protocol
 
 from tests.helpers.statistical import assert_means_close
+from tests.reference.dimensioning_grid import dense_grid_dimension
 
 
 class TestWilsonInterval:
@@ -177,13 +180,11 @@ class TestDimensionFanout:
         assert res.ci_low >= 0.95
 
     def test_protocol_mode_integer_fanout(self):
-        from repro.experiments.dimensioning import _protocol_factory
-
         res = dimension_fanout(
             400,
             0.9,
             0.9,
-            protocol_factory=_protocol_factory("fixed-fanout"),
+            protocol_factory=partial(zoo_protocol, "fixed-fanout"),
             seed=11,
         )
         assert res.feasible
@@ -192,13 +193,11 @@ class TestDimensionFanout:
         assert res.ci_low >= 0.9
 
     def test_protocol_mode_minimal_rounds(self):
-        from repro.experiments.dimensioning import _protocol_factory
-
         res = dimension_fanout(
             400,
             0.9,
             0.9,
-            protocol_factory=_protocol_factory("pbcast"),
+            protocol_factory=partial(zoo_protocol, "pbcast"),
             rounds=8,
             solve_rounds=True,
             seed=12,
@@ -208,14 +207,13 @@ class TestDimensionFanout:
         assert res.ci_low >= 0.9
 
     def test_protocol_mode_with_targeted_failure_model(self):
-        from repro.experiments.dimensioning import _protocol_factory
         from repro.simulation.failures import TargetedCrashModel
 
         # Engineered failures replace the uniform-q draw: the solver must
         # dimension against exactly the injected crash set.  Failing a fixed
         # tenth of the group is harsher than q=0.975 uniform crashes on
         # average, so the targeted run can never need a smaller fanout.
-        factory = _protocol_factory("fixed-fanout")
+        factory = partial(zoo_protocol, "fixed-fanout")
         targeted = dimension_fanout(
             400,
             0.975,
@@ -299,10 +297,7 @@ class TestParetoFrontier:
         assert pareto_frontier([], keys=lambda item: item) == []
 
 
-def _pbcast_factory(fanout: int, rounds: int):
-    from repro.experiments.protocol_comparison import protocol_zoo
-
-    return dict(protocol_zoo(fanout, rounds))["pbcast"]
+_pbcast_factory = partial(zoo_protocol, "pbcast")
 
 
 class TestDimensionPareto:

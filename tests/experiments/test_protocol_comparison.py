@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
+from functools import partial
+
 import pytest
 
 from repro.experiments.protocol_comparison import (
     ProtocolComparisonConfig,
     ProtocolComparisonResult,
+    protocol_zoo,
     run_protocol_comparison,
+    zoo_protocol,
 )
 from repro.experiments.registry import get_experiment
 
@@ -50,6 +55,24 @@ class TestConfig:
             ProtocolComparisonConfig(qs=(1.5,))
         with pytest.raises(ValueError):
             ProtocolComparisonConfig().with_scale(0.0)
+
+
+def settings(protocol) -> tuple:
+    """A protocol's class and attributes, as text: protocols and fanout laws define no ``==``."""
+    return type(protocol), repr(vars(protocol))
+
+
+class TestZooProtocol:
+    def test_builds_every_zoo_row_by_id(self):
+        zoo = protocol_zoo(4, 8, include_peer_sampling=True, include_recovery=True)
+        for pid, protocol in zoo:
+            assert settings(zoo_protocol(pid, 4, 8)) == settings(protocol)
+        with pytest.raises(KeyError):
+            zoo_protocol("gossip-poisson", 4, 8)
+
+    def test_partial_builder_pickles(self):
+        build = pickle.loads(pickle.dumps(partial(zoo_protocol, "pbcast")))
+        assert settings(build(5, 3)) == settings(dict(protocol_zoo(5, 3))["pbcast"])
 
 
 class TestRun:

@@ -2,7 +2,9 @@
 
 ``sampling_keysort`` holds the key-sort collision flags that the distinct
 sampler's per-shape checks must equal, and ``sampling_padded`` the padded
-sampler whose stream the one-``k`` draws must read.  The ratio benches in
-``benchmarks/`` also time the scalar oracles of
-:mod:`tests.reference.scalar_protocols` against the batched engines.
+sampler whose stream the one-``k`` draws must read.  ``scalar_protocols``
+holds the scalar dissemination engines the batched ones are pinned to,
+``latency_plane`` and ``surface_interpolation`` the kernels their faster
+replacements must match, and ``dimensioning_grid`` the dense-grid walk,
+``dense_grid_dimension``, that the dimensioning solver is held to.
 """
