@@ -1,16 +1,17 @@
 """Command-line interface for the gossip fault-tolerance toolkit.
 
-Four sub-commands cover the workflows the library supports:
+Seven sub-commands cover the workflows the library supports:
 
 * ``repro analyze``    — analytical model of one ``Gossip(n, P, q)`` configuration
   (reliability, critical point, success of gossiping, Eq. 12 inverse).
 * ``repro simulate``   — Monte-Carlo estimate of the same configuration.
 * ``repro design``     — dimension a deployment: given a reliability target and
   a failure budget, compute the required mean fanout and repeat count.
-* ``repro experiment`` — regenerate one of the paper's figures (fig2 … fig7).
-* ``repro run``        — run any registered experiment workload with a named
-  scale preset (``--scale small|medium|full`` or a float factor), e.g.
-  ``repro run protocol_comparison --scale small``.
+* ``repro run``        — run any registered experiment, one of the paper's
+  figures (fig2 … fig7) or an extension workload, with a named scale preset
+  (``--scale small|medium|full``) or a float factor, e.g.
+  ``repro run protocol_comparison --scale small``.  ``repro experiment`` is
+  an alias of it.
 * ``repro build-surface`` — precompute a certified reliability surface
   artifact (``.npz`` + manifest) for the serving layer.
 * ``repro query``      — answer one reliability or dimensioning question from
@@ -181,26 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-member delivery target after repeats",
     )
 
-    experiment = sub.add_parser("experiment", help="regenerate one of the paper's figures")
-    experiment.add_argument(
-        "figure",
-        choices=[spec.experiment_id for spec in list_experiments()],
-        help=(
-            "experiment id (fig2 .. fig7, sec4_percolation_validation, "
-            "protocol_comparison, loss_resilience, dimensioning, "
-            "churn_resilience, recovery_resilience, latency_profile, "
-            "surface_dimensioning)"
-        ),
-    )
-    experiment.add_argument(
-        "--scale",
-        type=_parse_scale,
-        default=1.0,
-        help="shrink group size / repetitions by a factor in (0, 1] (default: paper scale)",
-    )
-
     run = sub.add_parser(
-        "run", help="run a registered experiment workload (named scale presets)"
+        "run",
+        aliases=["experiment"],
+        help="run a registered experiment: a paper figure or an extension workload",
     )
     run.add_argument(
         "experiment",
@@ -357,9 +342,10 @@ def _cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_experiment(experiment_id: str, scale: float) -> int:
-    """Shared driver of the ``experiment`` and ``run`` sub-commands."""
-    spec = get_experiment(experiment_id)
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Run one registered experiment at ``--scale`` (``repro run`` or ``repro experiment``)."""
+    spec = get_experiment(args.experiment)
+    scale = args.scale
     config = spec.config_factory()
     if not spec.analytical_only and scale < 0.999:
         if hasattr(config, "with_scale"):
@@ -459,14 +445,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    return _run_experiment(args.figure, args.scale)
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    return _run_experiment(args.experiment, args.scale)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -481,8 +459,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "analyze": _cmd_analyze,
         "simulate": _cmd_simulate,
         "design": _cmd_design,
-        "experiment": _cmd_experiment,
         "run": _cmd_run,
+        "experiment": _cmd_run,
         "build-surface": _cmd_build_surface,
         "query": _cmd_query,
         "serve": _cmd_serve,

@@ -25,9 +25,9 @@ class TestParser:
 
     def test_experiment_choices(self):
         args = build_parser().parse_args(["experiment", "fig3"])
-        assert args.figure == "fig3"
+        assert args.experiment == "fig3"
         args = build_parser().parse_args(["experiment", "sec4_percolation_validation"])
-        assert args.figure == "sec4_percolation_validation"
+        assert args.experiment == "sec4_percolation_validation"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
