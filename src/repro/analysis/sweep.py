@@ -4,8 +4,7 @@ The paper's third claimed advantage over prior models is that analysis "can
 be performed for various fanout distributions, rather than only the Poisson
 distribution".  :func:`distribution_ablation` exercises that claim: it holds
 the *mean* fanout fixed, swaps the distribution family, and reports the
-analytical and simulated reliabilities side by side.  The corresponding
-benchmark is ``benchmarks/bench_ablation_distributions.py``.
+analytical and simulated reliabilities side by side.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Each driver exposes a ``*Config`` dataclass whose defaults match the paper's
 parameters, a ``run(config)`` function returning a structured result, and the
 result object knows how to render itself as the table/series the paper
 reports (``to_table()``) and how to check the qualitative shape the paper
-claims (``check_shape()``).  The benchmark harness in ``benchmarks/`` is a
-thin wrapper around these drivers.
+claims (``check_shape()``).  The CLI's ``repro run`` and perfbench's
+``fig5_sweep`` workload are thin wrappers around these drivers.
 
 Use :func:`repro.experiments.registry.get_experiment` to look drivers up by
 their experiment id (``"fig2"`` … ``"fig7"``, plus the graph-side

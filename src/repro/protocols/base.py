@@ -5,8 +5,7 @@ group of ``n`` members, a fraction ``1 - q`` of which crash (fail-stop, source
 excluded), and reports which nonfailed members ended up with the message and
 how many point-to-point messages the protocol spent doing so.  Keeping the
 interface this narrow is what makes the cross-protocol reliability/cost
-comparison (``repro run protocol_comparison`` and
-``benchmarks/bench_baseline_protocols.py``) meaningful.
+comparison (``repro run protocol_comparison``) meaningful.
 
 A protocol implements one hook, :meth:`Protocol._disseminate_batch`, which
 propagates ``R`` independent executions as ``(R, n)`` array programs and
