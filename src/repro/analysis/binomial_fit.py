@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
-from scipy import stats
 
 from repro.core.success import success_count_pmf
 from repro.utils.validation import check_integer, check_probability
@@ -123,6 +122,8 @@ def chi_square_binomial_test(
     exp_pooled = exp_pooled * (obs_pooled.sum() / exp_pooled.sum())
     statistic = float(np.sum((obs_pooled - exp_pooled) ** 2 / exp_pooled))
     dof = len(obs_pooled) - 1
+    from scipy import stats
+
     p_value = float(stats.chi2.sf(statistic, dof))
     return ChiSquareResult(
         statistic=statistic, p_value=p_value, pooled_bins=len(obs_pooled), degrees_of_freedom=dof

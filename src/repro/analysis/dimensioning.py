@@ -75,7 +75,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeAlias, TypeVar
 
 import numpy as np
-from scipy import stats
 
 from repro.core.distributions import FanoutDistribution, PoissonFanout
 from repro.core.poisson_case import mean_fanout_for_reliability
@@ -85,6 +84,7 @@ from repro.simulation.failures import FailureModel
 from repro.simulation.gossip import simulate_gossip_batch
 from repro.simulation.network import NetworkModel
 from repro.simulation.protocol_batch import simulate_protocol_batch
+from repro.utils.numerics import ndtri
 from repro.utils.rng import SeedLike, as_generator, spawn_seeds
 from repro.utils.validation import check_integer, check_probability
 
@@ -100,6 +100,8 @@ _EvaluateBatch: TypeAlias = (
 _ProtocolFactory: TypeAlias = "Callable[[int, int], Protocol]"
 
 __all__ = [
+    "wilson_z",
+    "wilson_floor",
     "wilson_interval",
     "analytic_required_fanout",
     "DimensioningResult",
@@ -109,6 +111,34 @@ __all__ = [
     "ParetoDimensioningResult",
     "dimension_pareto",
 ]
+
+
+def wilson_z(confidence: float) -> float:
+    """Return the normal quantile ``z`` of a two-sided ``confidence`` Wilson interval.
+
+    Raises ``ValueError`` for a confidence outside ``(0, 1)``, and for one so
+    close to 1 that ``0.5 + confidence / 2`` rounds to 1: there ``z`` is
+    infinite, so every interval is ``[0, 1]`` and nothing can be certified.
+
+    >>> round(wilson_z(0.95), 6)
+    1.959964
+    """
+    confidence = check_probability("confidence", confidence, allow_zero=False, allow_one=False)
+    z = ndtri(0.5 + confidence / 2.0)
+    if math.isinf(z):
+        raise ValueError(f"confidence {confidence!r} has an infinite normal quantile")
+    return z
+
+
+def wilson_floor(target: float, confidence: float) -> int:
+    """Return the Wilson feasibility floor ``ceil(z² · target / (1 - target))``.
+
+    Below that many replicas even a perfect sample cannot certify ``target``
+    (the Wilson lower bound of an all-ones sample of ``R`` is
+    ``1 / (1 + z²/R)``).
+    """
+    z = wilson_z(confidence)
+    return int(math.ceil(z * z * target / (1.0 - target)))
 
 
 def wilson_interval(successes: float, trials: int, confidence: float) -> tuple[float, float]:
@@ -127,10 +157,9 @@ def wilson_interval(successes: float, trials: int, confidence: float) -> tuple[f
         Two-sided coverage, e.g. ``0.95``.
     """
     trials = check_integer("trials", trials, minimum=1)
-    confidence = check_probability("confidence", confidence, allow_zero=False, allow_one=False)
+    z = wilson_z(confidence)
     if not 0.0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, {trials}], got {successes!r}")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p_hat + z * z / (2.0 * trials)) / denom
@@ -486,12 +515,10 @@ def dimension_fanout(
         raise ValueError(f"fanout_tol must be positive, got {fanout_tol}")
     rng = as_generator(seed)
 
-    # Below z^2 rho / (1 - rho) replicas even a perfect sample cannot certify
-    # the target (the Wilson lower bound of an all-ones sample is
-    # 1 / (1 + z^2/R)), so the per-decision cap is raised to that floor.
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
-    wilson_floor = int(math.ceil(z * z * target_reliability / (1.0 - target_reliability)))
-    max_replicas = max(max_replicas, wilson_floor + initial_replicas)
+    # Below the Wilson floor even a perfect sample cannot certify the target,
+    # so the per-decision cap is raised to it.
+    floor = wilson_floor(target_reliability, confidence)
+    max_replicas = max(max_replicas, floor + initial_replicas)
 
     seed_fanout = analytic_required_fanout(
         target_reliability,
@@ -816,9 +843,8 @@ def dimension_pareto(
     check_integer("max_replicas", max_replicas, minimum=initial_replicas)
     rng = as_generator(seed)
 
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
-    wilson_floor = int(math.ceil(z * z * target_reliability / (1.0 - target_reliability)))
-    max_replicas = max(max_replicas, wilson_floor + initial_replicas)
+    floor = wilson_floor(target_reliability, confidence)
+    max_replicas = max(max_replicas, floor + initial_replicas)
 
     oracle = _FeasibilityOracle(
         _protocol_evaluator(n, q, loss, protocol_factory, failure_model),

@@ -106,6 +106,18 @@ def _probability(*, zero: bool = True, one: bool = True) -> Callable[[str], floa
     return parse
 
 
+def _confidence(raw: str) -> float:
+    """An argparse type: a Wilson confidence in (0, 1) whose normal quantile is finite."""
+    from repro.analysis.dimensioning import wilson_z
+
+    value = _probability(zero=False, one=False)(raw)
+    try:
+        wilson_z(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _refused(exc: Exception) -> int:
     """Report a refused input on one stderr line; return the usage-error status."""
     print(f"error: {exc}", file=sys.stderr)
@@ -243,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repetitions", type=_integer(2), default=96, help="Monte-Carlo replicas per cell"
     )
     build_surface.add_argument(
-        "--confidence", type=_probability(zero=False, one=False), default=0.95,
+        "--confidence", type=_confidence, default=0.95,
         help="per-cell Wilson coverage",
     )
     build_surface.add_argument("--seed", type=_integer(0), default=0, help="RNG seed")

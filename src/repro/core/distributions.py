@@ -30,7 +30,6 @@ from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import (
@@ -228,6 +227,8 @@ class PoissonFanout(FanoutDistribution):
     def pmf_array(self, k_max: int | None = None) -> np.ndarray:
         if k_max is None:
             k_max = _poisson_truncation(self.mean_fanout)
+        from scipy import stats
+
         k = np.arange(k_max + 1)
         return stats.poisson.pmf(k, self.mean_fanout)
 
@@ -272,6 +273,8 @@ class PoissonFanout(FanoutDistribution):
 
 def _poisson_truncation(z: float) -> int:
     """Truncation point capturing all but ``_TRUNCATION_TOL`` of Po(z) mass."""
+    from scipy import stats
+
     k = int(math.ceil(z + 12.0 * math.sqrt(z) + 12.0))
     while stats.poisson.sf(k, z) > _TRUNCATION_TOL:
         k *= 2
@@ -347,6 +350,8 @@ class BinomialFanout(FanoutDistribution):
     def pmf_array(self, k_max: int | None = None) -> np.ndarray:
         if k_max is None:
             k_max = self.trials
+        from scipy import stats
+
         k = np.arange(k_max + 1)
         return stats.binom.pmf(k, self.trials, self.prob)
 

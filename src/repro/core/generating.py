@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
-from scipy import optimize
 
 from repro.core.distributions import FanoutDistribution
+from repro.utils.numerics import brentq
 from repro.utils.validation import check_probability
 
 __all__ = ["GeneratingFunction", "GossipGeneratingFunctions", "build_generating_functions"]
@@ -228,7 +228,7 @@ class GossipGeneratingFunctions:
             lo, hi = 0.0, 1.0 - 1e-12
             try:
                 if h(lo) * h(hi) < 0:
-                    u = float(optimize.brentq(h, lo, hi, xtol=1e-14))
+                    u = brentq(h, lo, hi, xtol=1e-14)
             except ValueError:
                 pass
         return float(min(max(u, 0.0), 1.0))

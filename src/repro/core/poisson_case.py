@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 import numpy.typing as npt
-from scipy import optimize
 
+from repro.utils.numerics import brentq
 from repro.utils.validation import check_positive, check_probability
 
 __all__ = [
@@ -87,7 +87,7 @@ def poisson_reliability(mean_fanout: float, q: float, *, tol: float = 1e-12) -> 
         lo *= 10.0
     if h(lo) > 0:
         return 0.0
-    s = float(optimize.brentq(h, lo, 1.0, xtol=tol))
+    s = brentq(h, lo, 1.0, xtol=tol)
     return float(min(max(s, 0.0), 1.0))
 
 

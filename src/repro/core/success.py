@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_integer, check_probability
 
@@ -82,6 +81,8 @@ def success_count_pmf(executions: int, per_execution_reliability: float) -> np.n
     """
     t = check_integer("executions", executions, minimum=0)
     p_r = check_probability("per_execution_reliability", per_execution_reliability)
+    from scipy import stats
+
     k = np.arange(t + 1)
     return stats.binom.pmf(k, t, p_r)
 
@@ -90,6 +91,8 @@ def success_count_cdf(executions: int, per_execution_reliability: float) -> np.n
     """Return the Binomial ``B(t, p_r)`` CDF evaluated at ``0..t``."""
     t = check_integer("executions", executions, minimum=0)
     p_r = check_probability("per_execution_reliability", per_execution_reliability)
+    from scipy import stats
+
     k = np.arange(t + 1)
     return stats.binom.cdf(k, t, p_r)
 

@@ -43,6 +43,7 @@ from repro.analysis.dimensioning import (
     ParetoCandidate,
     dimension_fanout,
     dimension_pareto,
+    wilson_floor,
 )
 from repro.experiments.protocol_comparison import zoo_protocol
 from repro.utils.rng import spawn_seeds
@@ -143,13 +144,8 @@ class SurfaceDimensioningConfig:
                 raise ValueError(f"{name} must be non-empty")
         for target in self.targets:
             check_probability("target", target, allow_zero=False, allow_one=False)
-        from math import ceil
-
-        from scipy import stats
-
-        z = float(stats.norm.ppf(0.5 + self.confidence / 2.0))
         top = max(self.targets + (self.targeted_target,))
-        floor = int(ceil(z * z * top / (1.0 - top)))
+        floor = wilson_floor(top, self.confidence)
         if self.repetitions < floor:
             raise ValueError(
                 f"repetitions={self.repetitions} cannot certify target {top} at "

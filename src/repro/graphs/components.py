@@ -22,11 +22,14 @@ Two implementations back every query:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from repro.utils.validation import check_choice, check_integer
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "UnionFind",
@@ -121,6 +124,8 @@ def _check_edges(edges: np.ndarray) -> np.ndarray:
 
 def edges_to_csr(n: int, edges: np.ndarray) -> "sparse.csr_matrix":
     """Build the ``n × n`` CSR adjacency of an edge array (duplicates collapse)."""
+    from scipy import sparse
+
     edges = _check_edges(edges)
     if edges.size == 0:
         return sparse.csr_matrix((n, n), dtype=np.int8)
@@ -141,6 +146,8 @@ def component_labels(n: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
         return 0, np.empty(0, dtype=np.int64)
     if edges.size == 0:
         return n, np.arange(n, dtype=np.int64)
+    from scipy.sparse import csgraph
+
     n_components, labels = csgraph.connected_components(
         edges_to_csr(n, edges), directed=False
     )
@@ -222,6 +229,8 @@ def reachable_from(
         return visited
 
     if method == "csgraph":
+        from scipy.sparse import csgraph
+
         order = csgraph.breadth_first_order(
             edges_to_csr(n, edges), source, directed=True, return_predecessors=False
         )

@@ -35,10 +35,9 @@ Replicas are processed in row-budgeted chunks so the batched draw matrix
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from repro.core.distributions import FanoutDistribution
 from repro.graphs.configuration_model import configuration_model_edges
@@ -46,6 +45,9 @@ from repro.graphs.degree_sequence import DegreeMoments, sample_degree_sequence
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.sampling import sample_distinct_rows_excluding
 from repro.utils.validation import check_integer, check_probability
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "GraphEnsembleResult",
@@ -74,6 +76,8 @@ def _csr_from_sorted(n_nodes: int, src_sorted: np.ndarray, dst: np.ndarray) -> "
     """
     if src_sorted.size == 0:
         return None
+    from scipy import sparse
+
     counts = np.bincount(src_sorted, minlength=n_nodes)
     # int32 indices/indptr (all ensemble graphs fit): halves the index
     # bandwidth of the csgraph kernels, which are memory-bound at this size.
@@ -90,6 +94,8 @@ def _largest_component(n: int, adj: "sparse.csr_matrix | None") -> int:
     """Largest undirected component of the replica (isolated nodes are singletons)."""
     if adj is None:
         return 1 if n else 0
+    from scipy.sparse import csgraph
+
     n_components, labels = csgraph.connected_components(adj, directed=False)
     return int(np.bincount(labels, minlength=n_components).max())
 
@@ -191,6 +197,8 @@ class GossipGraphEnsemble:
 
     def realise(self, repetitions: int, *, seed: SeedLike = None) -> GraphEnsembleResult:
         """Build and measure ``repetitions`` independent graph replicas."""
+        from scipy.sparse import csgraph
+
         repetitions = check_integer("repetitions", repetitions, minimum=1)
         rng = as_generator(seed)
         n, q, source = self.n, self.q, self.source

@@ -14,14 +14,13 @@ The batched hook realises all ``R`` overlays with one
 :func:`repro.utils.sampling.sample_distinct_rows_excluding` draw (the same
 kernel the graph-percolation ensemble uses), symmetrises them into one
 block-diagonal CSR adjacency in chunk-global node ids (replica ``r``'s member
-``i`` is ``r·n + i`` — components never span replicas), and floods every
-replica simultaneously with vectorised frontier waves.
+``i`` is ``r·n + i`` — components never span replicas) with one sort of arc
+keys, and floods every replica simultaneously with vectorised frontier waves.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.protocols.base import Protocol
 from repro.simulation.transport import Transport
@@ -29,6 +28,24 @@ from repro.utils.sampling import sample_distinct_rows_excluding, unique_unseen
 from repro.utils.validation import check_integer
 
 __all__ = ["FloodingProtocol"]
+
+
+def _symmetric_csr(cells: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return the CSR ``(indptr, indices)`` of the undirected graph of arcs ``src → dst``.
+
+    Every arc is stored both ways and every repeated arc once (a member's
+    neighbours form a *set*, so reciprocal picks collapse): one sort of the
+    int64 keys ``src · cells + dst`` puts the arcs in CSR order, by source and
+    then by destination, and dropping repeated keys deduplicates them.
+    """
+    keys = np.concatenate([src * cells + dst, dst * cells + src])
+    keys.sort()
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    rows, indices = np.divmod(keys[keep], cells)
+    indptr = np.zeros(cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=cells), out=indptr[1:])
+    return indptr, indices
 
 
 class FloodingProtocol(Protocol):
@@ -51,11 +68,8 @@ class FloodingProtocol(Protocol):
         cells = repetitions * n
         degree = min(self.degree, n - 1)
 
-        # One batched draw realises every replica's overlay picks; the
-        # chunk-global arc list is then symmetrised and deduplicated (a
-        # member's neighbours form a *set*, so reciprocal picks collapse).  The
-        # COO→CSR conversion merges duplicate arcs in one C-level pass —
-        # an order of magnitude cheaper than sorting 64-bit arc keys.
+        # One batched draw realises every replica's overlay picks in
+        # chunk-global ids.
         members = np.tile(np.arange(n, dtype=np.int64), repetitions)
         picks, valid = sample_distinct_rows_excluding(
             rng, n, np.full(cells, degree, dtype=np.int64), members
@@ -63,18 +77,7 @@ class FloodingProtocol(Protocol):
         row_ids = np.arange(cells, dtype=np.int64)
         src = np.repeat(row_ids, degree)
         dst = picks[valid].astype(np.int64, copy=False) + np.repeat(row_ids - members, degree)
-        overlay = sparse.coo_matrix(
-            (
-                np.ones(2 * src.size, dtype=np.int8),
-                (
-                    np.concatenate([src, dst]).astype(np.int32, copy=False),
-                    np.concatenate([dst, src]).astype(np.int32, copy=False),
-                ),
-            ),
-            shape=(cells, cells),
-        ).tocsr()
-        indptr = overlay.indptr
-        arc_dst = overlay.indices
+        indptr, arc_dst = _symmetric_csr(cells, src, dst)
         neighbour_counts = np.diff(indptr)
 
         delivered = np.zeros(cells, dtype=bool)

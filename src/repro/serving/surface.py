@@ -56,7 +56,7 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 import repro
-from repro.analysis.dimensioning import wilson_interval
+from repro.analysis.dimensioning import wilson_interval, wilson_z
 from repro.core.distributions import FanoutDistribution, PoissonFanout
 from repro.simulation.gossip import simulate_gossip_batch
 from repro.simulation.network import NetworkModel
@@ -452,7 +452,8 @@ def build_surface(
         wrap in a :class:`~repro.serving.query.SurfaceQueryEngine`.
     """
     check_integer("repetitions", repetitions, minimum=2)
-    confidence = check_probability("confidence", confidence, allow_zero=False, allow_one=False)
+    wilson_z(confidence)  # refuse a confidence no cell can certify at before any cell runs
+    confidence = float(confidence)
     seed = check_integer("seed", seed, minimum=0)
     if protocol in GOSSIP_PROTOCOLS:
         if grid.rounds != (0,):

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, validation, formatting, parallel helpers."""
+"""Shared utilities: RNG management, validation, formatting, parallel helpers, numerics."""
 
 from repro.utils.rng import as_generator, spawn_generators, seed_sequence
 from repro.utils.validation import (

@@ -22,6 +22,10 @@ from repro.experiments.protocol_comparison import zoo_protocol
 from tests.helpers.statistical import assert_means_close
 from tests.reference.dimensioning_grid import dense_grid_dimension
 
+#: The largest double below 1: a probability, but ``0.5 + c / 2`` rounds to 1,
+#: so its Wilson quantile is infinite and no sample certifies anything.
+CONFIDENCE_NEAR_ONE = 0.9999999999999999
+
 
 class TestWilsonInterval:
     def test_contains_point_estimate(self):
@@ -58,6 +62,10 @@ class TestWilsonInterval:
             wilson_interval(11, 10, 0.95)
         with pytest.raises(ValueError):
             wilson_interval(5, 10, 1.0)
+
+    def test_confidence_with_infinite_quantile_refused(self):
+        with pytest.raises(ValueError, match=str(CONFIDENCE_NEAR_ONE)):
+            wilson_interval(10, 10, CONFIDENCE_NEAR_ONE)
 
 
 class TestAnalyticRequiredFanout:
@@ -99,6 +107,10 @@ class TestAnalyticRequiredFanout:
 
 
 class TestDimensionFanout:
+    def test_confidence_with_infinite_quantile_refused(self):
+        with pytest.raises(ValueError, match=str(CONFIDENCE_NEAR_ONE)):
+            dimension_fanout(100, 0.9, 0.9, confidence=CONFIDENCE_NEAR_ONE, seed=1)
+
     def test_round_trip_against_analytical_curve(self):
         # The solved fanout must clear the target on the analytical curve:
         # the Monte-Carlo certificate is *conservative* (Wilson + finite n),
@@ -301,6 +313,11 @@ _pbcast_factory = partial(zoo_protocol, "pbcast")
 
 
 class TestDimensionPareto:
+    def test_confidence_with_infinite_quantile_refused(self):
+        with pytest.raises(ValueError, match=str(CONFIDENCE_NEAR_ONE)):
+            dimension_pareto(100, 0.9, 0.9, protocol_factory=_pbcast_factory,
+                             confidence=CONFIDENCE_NEAR_ONE, seed=1)
+
     @pytest.fixture(scope="class")
     def result(self):
         return dimension_pareto(

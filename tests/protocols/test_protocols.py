@@ -6,6 +6,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.core.distributions import PoissonFanout
 from repro.experiments.protocol_comparison import protocol_zoo
@@ -18,6 +21,7 @@ from repro.protocols import (
     RandomFanoutGossip,
     RouteDrivenGossip,
 )
+from repro.protocols.flooding import _symmetric_csr
 from repro.simulation.failures import TargetedCrashModel
 from repro.simulation.network import GilbertElliottNetworkModel, NetworkModel
 
@@ -209,3 +213,19 @@ class TestFlooding:
         low = FloodingProtocol(degree=2).run(300, 1.0, seed=15).messages_sent
         high = FloodingProtocol(degree=8).run(300, 1.0, seed=15).messages_sent
         assert high > low
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda cells: st.tuples(st.just(cells), st.lists(
+            st.tuples(st.integers(0, cells - 1), st.integers(0, cells - 1)), max_size=120))))
+    def test_overlay_csr_is_scipys(self, drawn):
+        """The overlay CSR equals scipy's COO→CSR of the symmetrised arcs, repeats merged."""
+        cells, arcs = drawn
+        src, dst = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
+        indptr, indices = _symmetric_csr(cells, src, dst)
+        rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
+        want = sparse.coo_matrix(
+            (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(cells, cells)
+        ).tocsr()
+        assert np.array_equal(indptr, want.indptr)
+        assert np.array_equal(indices, want.indices)

@@ -114,6 +114,12 @@ class TestBuildSurface:
         with pytest.raises((SurfaceValidationError, KeyError, ValueError)):
             build_surface(tiny_grid(), protocol="carrier-pigeon", repetitions=4, seed=SEED)
 
+    def test_confidence_with_infinite_quantile_refused(self):
+        # The largest double below 1: 0.5 + c/2 rounds to 1, so no cell could
+        # certify anything, and the build is refused before any cell runs.
+        with pytest.raises(ValueError, match="0.9999999999999999"):
+            build_surface(tiny_grid(), repetitions=4, confidence=0.9999999999999999, seed=SEED)
+
     def test_gossip_families_cover_zoo(self):
         assert "gossip-poisson" in GOSSIP_PROTOCOLS
         assert len(GOSSIP_PROTOCOLS) == 4

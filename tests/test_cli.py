@@ -64,6 +64,8 @@ class TestArgumentValidation:
             (["design", "--reliability", "1"], "--reliability"),
             (["build-surface", "{out}", "-n", "0"], "--members/-n"),
             (["build-surface", "{out}", "--confidence", "2"], "--confidence"),
+            # A probability whose Wilson quantile is infinite: 0.5 + c/2 rounds to 1.
+            (["build-surface", "{out}", "--confidence", "0.9999999999999999"], "--confidence"),
             (["build-surface", "{out}", "-q", "0.5,0"], "--alive-ratios/-q"),
             (["build-surface", "{out}", "--losses", "1"], "--losses"),
             (["build-surface", "{out}", "--repetitions", "1"], "--repetitions"),

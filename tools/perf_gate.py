@@ -41,14 +41,16 @@ from typing import Any
 #: Alternating base/head pairs per workload, and the length of one run in
 #: seconds.  A single run cannot decide: over six ``--seconds 1`` runs of one
 #: tree (seeds 0-5, a 2-core container, Python 3.11.7, numpy 2.4.6), the worst
-#: run read 1.37x the median ``setup_s`` on ``fig5_sweep``, 1.27x the median
-#: ``req_p99_us`` on ``zoo_planes`` and 1.64x the median ``req_p50_us`` on
+#: run read 1.06x the median ``setup_s`` on ``fig5_sweep`` and 1.05x the
+#: median ``req_p99_us`` on ``zoo_planes``, but 1.19x the median
+#: ``req_p99_us`` and 1.16x the median ``solve_s`` on
 #: ``dimensioning_service``, while ``peak_rss_mb`` stayed within
-#: 0.989-1.014x.  So one run can cross a 24% bound by chance.  Losing all five
-#: pairs has probability 1/32 per metric when nothing changed, and the bound
-#: must be crossed as well.  One run took 3-5 s on ``fig5_sweep`` and
-#: ``zoo_planes`` and 9-16 s on ``dimensioning_service`` there, and a whole
-#: gate run 182-280 s over ten runs.
+#: 0.980-1.022x.  Across more processes the spread is wider: over 20 runs at
+#: seeds 40-49 ``fig5_sweep`` ``solve_s`` ranged 1.24-1.80 s.  So one run can
+#: cross a 24% bound by chance.  Losing all five pairs has probability 1/32
+#: per metric when nothing changed, and the bound must be crossed as well.
+#: One run took 2.3-3.2 s on ``fig5_sweep``, 2.9-3.9 s on ``zoo_planes`` and
+#: 12-14 s on ``dimensioning_service`` there, and a whole gate run 236 s.
 PAIRS = 5
 SECONDS = 1
 
