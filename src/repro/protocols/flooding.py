@@ -97,7 +97,7 @@ class FloodingProtocol(Protocol):
                 break
             transport.rounds += active
             targets = frontier[:0]
-            fanout = neighbour_counts[frontier].astype(np.int64, copy=False)
+            fanout = neighbour_counts[frontier]
             total = int(fanout.sum())
             if total:
                 # Gather every frontier member's neighbour slice in one pass;
@@ -108,7 +108,7 @@ class FloodingProtocol(Protocol):
                     - np.repeat(np.cumsum(fanout) - fanout, fanout)
                     + np.repeat(indptr[frontier], fanout)
                 )
-                targets = arc_dst[positions].astype(np.int64, copy=False)
+                targets = arc_dst[positions]
                 targets, _ = transport.send(targets, targets // n)
             targets, times, _ = transport.arrive(targets)
             if times is not None:

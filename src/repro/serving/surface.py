@@ -528,6 +528,8 @@ def load_surface(path: str | Path, *, allow_version_mismatch: bool = False) -> R
     * axes recorded in the arrays different from the manifest grid;
     * a manifest that is not a JSON object, or a scalar field that is
       missing or of the wrong JSON type;
+    * a manifest ``confidence`` no Wilson interval can use: outside
+      ``(0, 1)``, or so close to 1 that its quantile is infinite;
     * malformed cell bounds (checked by :class:`ReliabilitySurface`).
 
     Parameters
@@ -605,6 +607,11 @@ def load_surface(path: str | Path, *, allow_version_mismatch: bool = False) -> R
             f"seed recorded in the arrays ({stored_seed}) disagrees with the "
             f"manifest seed ({manifest_seed!r})"
         )
+    confidence = float(_manifest_field(manifest, "confidence"))
+    try:
+        wilson_z(confidence)
+    except ValueError as exc:
+        raise SurfaceValidationError(f"manifest {exc}") from exc
     return ReliabilitySurface(
         grid=grid,
         protocol=_manifest_field(manifest, "protocol"),
@@ -613,7 +620,7 @@ def load_surface(path: str | Path, *, allow_version_mismatch: bool = False) -> R
         ci_high=arrays["ci_high"],
         cost=arrays["cost"],
         repetitions=_manifest_field(manifest, "repetitions"),
-        confidence=float(_manifest_field(manifest, "confidence")),
+        confidence=confidence,
         seed=stored_seed,
         engine_version=str(engine_version),
         conditional_on_spread=_manifest_field(manifest, "conditional_on_spread"),

@@ -21,34 +21,24 @@ from typing import Callable
 
 __all__ = ["brentq", "ndtri"]
 
-#: scipy's ``brentq`` defaults: absolute and relative tolerance, iteration cap.
-_XTOL = 2e-12
+#: scipy's ``brentq`` defaults for the relative tolerance and the iteration cap.
 _RTOL = 4 * 2.220446049250313e-16
 _MAXITER = 100
 
 
-def brentq(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    xtol: float = _XTOL,
-    rtol: float = _RTOL,
-    maxiter: int = _MAXITER,
-) -> float:
-    """Find a root of ``f`` in the bracket ``[a, b]`` by Brent's method.
+def brentq(f: Callable[[float], float], a: float, b: float, *, xtol: float) -> float:
+    """Find a root of ``f`` in the bracket ``[a, b]`` to within ``xtol`` by Brent's method.
 
-    Raises ``ValueError`` when ``f(a)`` and ``f(b)`` have the same sign or
-    ``f`` returns NaN, and ``RuntimeError`` when ``maxiter`` iterations do not
-    converge, as scipy does.
+    The relative tolerance (4 eps) and the iteration cap (100) are scipy's
+    defaults.  Raises ``ValueError`` when ``xtol <= 0``, when ``f(a)`` and
+    ``f(b)`` have the same sign or when ``f`` returns NaN, and
+    ``RuntimeError`` when the iterations run out, as scipy does.
 
-    >>> brentq(lambda x: x * x - 2.0, 0.0, 2.0)
+    >>> brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=2e-12)
     1.4142135623731364
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
 
     def call(x: float) -> float:
         fx = float(f(x))
@@ -65,7 +55,7 @@ def brentq(
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -73,7 +63,7 @@ def brentq(
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -98,7 +88,7 @@ def brentq(
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
 _S2PI = 2.50662827463100050242e0  # sqrt(2 pi)

@@ -260,6 +260,14 @@ class TestArtifactContract:
         with pytest.raises(SurfaceValidationError, match=field):
             load_surface(npz_path)
 
+    @pytest.mark.parametrize("confidence", [0.9999999999999999, 1.0, 0])
+    def test_confidence_without_finite_quantile_refused(self, surface, tmp_path, confidence):
+        # Earlier builds wrote 0.9999999999999999, whose cells certify nothing.
+        npz_path, manifest_path = surface.save(tmp_path / "surf")
+        self._tamper(manifest_path, confidence=confidence)
+        with pytest.raises(SurfaceValidationError, match="confidence"):
+            load_surface(npz_path)
+
     def test_missing_field_refused(self, surface, tmp_path):
         npz_path, manifest_path = surface.save(tmp_path / "surf")
         manifest = json.loads(manifest_path.read_text())

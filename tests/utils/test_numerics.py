@@ -16,17 +16,18 @@ from scipy import optimize, special, stats
 
 from repro.core.distributions import BinomialFanout, FixedFanout, GeometricFanout, UniformFanout
 from repro.core.generating import build_generating_functions
+from repro.utils import numerics
 from repro.utils.numerics import brentq, ndtri
 
 _EPS = 2.0**-52
 
 
-def _solve_both(f, a, b, **kwargs):
+def _solve_both(f, a, b, xtol):
     """Each solver's root, or the type of the exception it raised."""
     out = []
     for solve in (brentq, optimize.brentq):
         try:
-            out.append(solve(f(), a, b, **kwargs))
+            out.append(solve(f(), a, b, xtol=xtol))
         except (ValueError, RuntimeError) as exc:
             out.append(type(exc))
     return out
@@ -102,24 +103,41 @@ class TestBrentq:
             return f
 
         a, b = bracket
-        mine, ref = _solve_both(script, a, b, xtol=xtol)
+        mine, ref = _solve_both(script, a, b, xtol)
         assert mine == ref
 
     @pytest.mark.parametrize(
-        "f, a, b, kwargs",
+        "f, a, b, xtol",
         [
-            (lambda: lambda x: x * x + 1.0, -1.0, 1.0, {}),  # same sign at both ends
-            (lambda: lambda x: math.nan if 0.3 < x < 0.9 else x - 0.5, 0.0, 1.0, {}),  # NaN inside
-            (lambda: lambda x: math.atan(x - 0.3), -50.0, 50.0, {"maxiter": 3}),  # no convergence
-            (lambda: lambda x: x - 0.5, 0.0, 1.0, {"xtol": 0.0}),
-            (lambda: lambda x: x - 0.5, 0.0, 1.0, {"rtol": 1e-16}),
-            (lambda: lambda x: x, 0.0, 1.0, {}),  # root at an end
-            (lambda: lambda x: x - 1.0, 0.0, 1.0, {}),
+            (lambda: lambda x: x * x + 1.0, -1.0, 1.0, 2e-12),  # same sign at both ends
+            (lambda: lambda x: math.nan if 0.3 < x < 0.9 else x - 0.5, 0.0, 1.0, 2e-12),  # NaN inside
+            (lambda: lambda x: x - 0.5, 0.0, 1.0, 0.0),
+            (lambda: lambda x: x, 0.0, 1.0, 2e-12),  # root at an end
+            (lambda: lambda x: x - 1.0, 0.0, 1.0, 2e-12),
         ],
     )
-    def test_edges(self, f, a, b, kwargs):
-        mine, ref = _solve_both(f, a, b, **kwargs)
+    def test_edges(self, f, a, b, xtol):
+        mine, ref = _solve_both(f, a, b, xtol)
         assert mine == ref
+
+    def test_iteration_cap(self, monkeypatch):
+        """Under every cap the port converges, or runs out, exactly where scipy does."""
+
+        def f(x):
+            return math.atan(x - 0.3)
+
+        outcomes = set()
+        for cap in range(12):
+            monkeypatch.setattr(numerics, "_MAXITER", cap)
+            mine, ref = [], []
+            for solve, out, kwargs in ((brentq, mine, {}), (optimize.brentq, ref, {"maxiter": cap})):
+                try:
+                    out.append(solve(f, -50.0, 50.0, xtol=2e-12, **kwargs))
+                except RuntimeError as exc:
+                    out.append(type(exc))
+            assert mine == ref
+            outcomes.add(mine[0] is RuntimeError)
+        assert outcomes == {True, False}
 
 
 class TestNdtri:

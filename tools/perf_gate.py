@@ -45,10 +45,11 @@ from typing import Any
 #: median ``req_p99_us`` on ``zoo_planes``, but 1.19x the median
 #: ``req_p99_us`` and 1.16x the median ``solve_s`` on
 #: ``dimensioning_service``, while ``peak_rss_mb`` stayed within
-#: 0.980-1.022x.  Across more processes the spread is wider: over 20 runs at
-#: seeds 40-49 ``fig5_sweep`` ``solve_s`` ranged 1.24-1.80 s.  So one run can
-#: cross a 24% bound by chance.  Losing all five pairs has probability 1/32
-#: per metric when nothing changed, and the bound must be crossed as well.
+#: 0.980-1.022x.  Across more processes the spread is wider: over 20 runs of
+#: one tree at seeds 40-59 ``fig5_sweep`` ``solve_s`` ranged 1.15-1.80 s, the
+#: slowest 1.27x the median.  So one run can cross a 24% bound by chance.
+#: Losing all five pairs has probability 1/32 per metric when nothing
+#: changed, and the bound must be crossed as well.
 #: One run took 2.3-3.2 s on ``fig5_sweep``, 2.9-3.9 s on ``zoo_planes`` and
 #: 12-14 s on ``dimensioning_service`` there, and a whole gate run 236 s.
 PAIRS = 5
