@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sweep import default_distribution_families
 from repro.core.distributions import (
     EmpiricalFanout,
     FixedFanout,
@@ -192,6 +193,41 @@ class TestPercolationAnalysis:
         result = percolation_analysis(FixedFanout(0), 0.8)
         assert result.giant_component_size == 0.0
         assert result.critical_ratio == math.inf
+
+
+#: ``(family, q, u, giant_component_size)`` for the four CLI families at mean
+#: fanout 4, one q below, one just above and one well above each critical
+#: ratio (poisson 0.25, fixed 1/3, geometric 0.125, uniform 2/7).
+EQ4_EXACT = [
+    ("poisson", 0.2, 1.0, 0.0),
+    ("poisson", 0.26, 0.9802597577839217, 0.0759240085233781),
+    ("poisson", 0.9, 0.12744471517824, 0.9695058720241778),
+    ("fixed", 0.3, 1.0, 0.0),
+    ("fixed", 0.34, 0.980262297901363, 0.0766439527295264),
+    ("fixed", 0.9, 0.10092521257733165, 0.9998962474710595),
+    ("geometric", 0.1, 1.0, 0.0),
+    ("geometric", 0.13, 0.9933623210326317, 0.025864007943324108),
+    ("geometric", 0.9, 0.1461651584688989, 0.7735168427432211),
+    ("uniform", 0.25, 1.0, 0.0),
+    ("uniform", 0.29, 0.9900692127266135, 0.03903962028518604),
+    ("uniform", 0.9, 0.11207629385101932, 0.9971707313518124),
+]
+
+
+class TestEq4Exact:
+    """The Eq. 4 root and giant component, bit for bit.
+
+    The golden tables print four decimals, so only this test holds the
+    solver's doubles: a change to the fixed-point iteration, its Brent
+    polish or the G1 arithmetic fails it.
+    """
+
+    @pytest.mark.parametrize(("family", "q", "u", "size"), EQ4_EXACT)
+    def test_root_and_size_are_exact(self, family, q, u, size):
+        dist = default_distribution_families(4.0)[family]
+        result = percolation_analysis(dist, q)
+        assert result.u == u
+        assert result.giant_component_size == size
 
 
 class TestSpanningCondition:
