@@ -40,9 +40,9 @@ def run_one(experiment_id: str, scale: float) -> bool:
     spec = get_experiment(experiment_id)
     config = scale_config(spec, spec.config_factory(), scale)
     print(f"\n=== {spec.experiment_id}: {spec.paper_reference} ===")
-    started = time.time()
+    started = time.perf_counter()
     result = spec.runner(config)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     print(result.to_table())
     problems = result.check_shape() if scale >= 0.999 or spec.analytical_only else []
     status = "OK" if not problems else f"SHAPE VIOLATIONS: {problems}"

@@ -3,7 +3,7 @@
 Each rule gets at least one *failing* fixture (a small source snippet that
 must trigger the rule) and one *clean* fixture (the compliant shape of the
 same code).  The live-tree test at the bottom pins the acceptance criterion:
-``python -m tools.lint src perfbench tests/reference`` (the CI
+``python -m tools.lint src perfbench tests/reference examples tools`` (the CI
 step's paths) exits 0 on the repository itself.
 """
 
@@ -750,9 +750,10 @@ class TestCli:
 
         The same paths as the CI lint step: the parity oracles under
         ``tests/reference`` pin fixed-seed streams, so they are held to the
-        generator rules too.
+        generator rules too, and ``examples``/``tools`` are linted so that
+        RL007 counts their calls into ``src/repro``.
         """
-        result = run_lint_cli("src", "perfbench", "tests/reference")
+        result = run_lint_cli("src", "perfbench", "tests/reference", "examples", "tools")
         assert result.returncode == 0, result.stdout + result.stderr
 
     def test_broken_invariant_fails_the_run(self, tmp_path: Path) -> None:

@@ -15,7 +15,7 @@ production numbers.
 
 Run it from the repository root::
 
-    python -m tools.lint src perfbench tests/reference
+    python -m tools.lint src perfbench tests/reference examples tools
 
 Rules (see ``docs/ARCHITECTURE.md`` § "Static invariants" for the runtime
 contract each protects):
