@@ -7,7 +7,7 @@ fanout 4), does it matter whether every member forwards to exactly 4 peers,
 to Poisson(4) peers, or to a heavy-at-zero Geometric(mean 4) number of
 peers?*
 
-Two different quantities respond very differently (see DESIGN.md):
+Two different quantities respond very differently:
 
 * the probability that the gossip takes off at all (the fanout shape matters
   a lot — any mass at fanout 0 risks immediate die-out near the source), and

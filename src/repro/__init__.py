@@ -28,21 +28,15 @@ equations (Eqs. 3-4, 11, 12).
 """
 
 from repro.core import (
-    BinomialFanout,
-    EmpiricalFanout,
     FanoutDistribution,
     FixedFanout,
-    GeneratingFunction,
     GeometricFanout,
     GossipModel,
     MixtureFanout,
     PercolationResult,
     PoissonFanout,
     ReliabilityModel,
-    SuccessModel,
     UniformFanout,
-    ZipfFanout,
-    critical_mean_fanout,
     critical_ratio,
     giant_component_size,
     mean_component_size,
@@ -50,11 +44,8 @@ from repro.core import (
     min_executions,
     percolation_analysis,
     poisson_critical_fanout,
-    poisson_critical_ratio,
     poisson_reliability,
     reliability,
-    reliability_curve,
-    required_fanout_poisson,
     success_count_pmf,
     success_probability,
 )
@@ -66,29 +57,20 @@ __all__ = [
     "FanoutDistribution",
     "PoissonFanout",
     "FixedFanout",
-    "BinomialFanout",
     "GeometricFanout",
     "UniformFanout",
-    "ZipfFanout",
-    "EmpiricalFanout",
     "MixtureFanout",
-    "GeneratingFunction",
     "PercolationResult",
     "critical_ratio",
-    "critical_mean_fanout",
     "giant_component_size",
     "mean_component_size",
     "percolation_analysis",
     "ReliabilityModel",
     "reliability",
-    "reliability_curve",
-    "required_fanout_poisson",
     "success_probability",
     "min_executions",
     "success_count_pmf",
-    "SuccessModel",
     "poisson_reliability",
-    "poisson_critical_ratio",
     "poisson_critical_fanout",
     "mean_fanout_for_reliability",
     "GossipModel",

@@ -7,10 +7,8 @@ from repro.analysis.dimensioning import (
     dimension_fanout,
     wilson_interval,
 )
-from repro.analysis.sweep import DistributionSweep, distribution_ablation
 from repro.analysis.binomial_fit import BinomialFit, fit_binomial, chi_square_binomial_test
 from repro.analysis.tables import (
-    comparison_to_table,
     dimensioning_to_table,
     pmf_to_table,
     sweep_to_table,
@@ -24,13 +22,10 @@ __all__ = [
     "analytic_required_fanout",
     "dimension_fanout",
     "wilson_interval",
-    "DistributionSweep",
-    "distribution_ablation",
     "BinomialFit",
     "fit_binomial",
     "chi_square_binomial_test",
     "sweep_to_table",
-    "comparison_to_table",
     "pmf_to_table",
     "dimensioning_to_table",
 ]

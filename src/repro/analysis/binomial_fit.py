@@ -82,10 +82,6 @@ class ChiSquareResult:
     pooled_bins: int
     degrees_of_freedom: int
 
-    def rejects_at(self, alpha: float = 0.05) -> bool:
-        """Return True if the Binomial hypothesis is rejected at level ``alpha``."""
-        return self.p_value < alpha
-
 
 def chi_square_binomial_test(
     counts: npt.ArrayLike,

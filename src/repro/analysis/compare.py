@@ -46,12 +46,6 @@ class SeriesComparison:
     simulated_threshold: float
     analytical_threshold: float
 
-    def threshold_gap(self) -> float:
-        """Return the distance between the empirical and analytical thresholds."""
-        if np.isnan(self.simulated_threshold) or np.isnan(self.analytical_threshold):
-            return float("nan")
-        return abs(self.simulated_threshold - self.analytical_threshold)
-
 
 def threshold_crossing(xs: Sequence[float], ys: Sequence[float], level: float) -> float:
     """Return the first ``x`` at which ``y`` reaches ``level`` (NaN if never)."""

@@ -280,10 +280,6 @@ class DimensioningResult:
     feasible: bool
     certified: bool = True
 
-    def margin(self) -> float:
-        """Return ``achieved_reliability - target_reliability`` (< 0 only when infeasible)."""
-        return self.achieved_reliability - self.target_reliability
-
 
 class _FeasibilityOracle:
     """Adaptive Monte-Carlo feasibility decisions with Wilson-interval stopping.
@@ -764,16 +760,6 @@ class ParetoDimensioningResult:
     replicas_used: int
     evaluations: int
     feasible: bool
-
-    def lexicographic(self) -> ParetoCandidate | None:
-        """Return the pre-Pareto answer: minimal fanout, then minimal rounds.
-
-        This is the corner of the frontier :func:`dimension_fanout` with
-        ``solve_rounds=True`` used to return, recovered for comparison.
-        """
-        if not self.frontier:
-            return None
-        return min(self.frontier, key=lambda c: (c.fanout, c.rounds))
 
 
 def dimension_pareto(

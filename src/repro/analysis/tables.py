@@ -11,17 +11,13 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.analysis.compare import SeriesComparison
-from repro.analysis.sweep import DistributionSweep
 from repro.simulation.metrics import SuccessCountResult
 from repro.simulation.runner import SweepResult
 from repro.utils.tables import format_table
 
 __all__ = [
     "sweep_to_table",
-    "comparison_to_table",
     "pmf_to_table",
-    "distribution_sweep_to_table",
     "dimensioning_to_table",
 ]
 
@@ -32,63 +28,12 @@ def sweep_to_table(sweep: SweepResult, *, precision: int = 4) -> str:
     return format_table(headers, sweep.to_rows(), precision=precision)
 
 
-def comparison_to_table(comparisons: dict[float, SeriesComparison], *, precision: int = 4) -> str:
-    """Render per-q comparison metrics (MAE / max error / RMSE / thresholds)."""
-    headers = ["q", "mae", "max_error", "rmse", "sim_threshold", "ana_threshold"]
-    rows = []
-    for q in sorted(comparisons):
-        c = comparisons[q]
-        rows.append(
-            (
-                q,
-                c.mean_absolute_error,
-                c.max_absolute_error,
-                c.rmse,
-                c.simulated_threshold,
-                c.analytical_threshold,
-            )
-        )
-    return format_table(headers, rows, precision=precision)
-
-
 def pmf_to_table(result: SuccessCountResult, *, precision: int = 4) -> str:
     """Render a success-count distribution as (k, simulated, analytical) rows."""
     headers = ["k", "simulated_Pr(X=k)", "binomial_Pr(X=k)"]
     rows = [
         (int(k), float(result.empirical_pmf[k]), float(result.analytical_pmf[k]))
         for k in np.arange(result.executions + 1)
-    ]
-    return format_table(headers, rows, precision=precision)
-
-
-def distribution_sweep_to_table(sweep: DistributionSweep, *, precision: int = 4) -> str:
-    """Render the distribution ablation as one row per (family, q) cell.
-
-    Both the requested common mean and each family's realised mean are
-    shown; the analytical column is evaluated at the realised mean.
-    """
-    headers = [
-        "family",
-        "mean_fanout",
-        "realised_mean",
-        "q",
-        "q_c",
-        "analytical",
-        "simulated",
-        "abs_error",
-    ]
-    rows = [
-        (
-            r.family,
-            r.mean_fanout,
-            r.realised_mean,
-            r.q,
-            r.critical_ratio,
-            r.analytical,
-            r.simulated,
-            r.absolute_error(),
-        )
-        for r in sweep.rows
     ]
     return format_table(headers, rows, precision=precision)
 

@@ -128,8 +128,7 @@ def _make_distribution(name: str, mean_fanout: float) -> FanoutDistribution:
     """Build a fanout distribution of the requested family at the given mean.
 
     Delegates to :func:`repro.analysis.sweep.default_distribution_families`
-    so the CLI and the distribution ablation construct exactly the same
-    instances (one clip rule, one rounding rule) at a requested mean.
+    (one clip rule, one rounding rule) at a requested mean.
     """
     from repro.analysis.sweep import default_distribution_families
 

@@ -14,18 +14,13 @@ from repro.core.distributions import (
     FanoutDistribution,
     PoissonFanout,
     FixedFanout,
-    BinomialFanout,
     GeometricFanout,
     UniformFanout,
-    ZipfFanout,
-    EmpiricalFanout,
     MixtureFanout,
 )
-from repro.core.generating import GeneratingFunction, build_generating_functions
 from repro.core.percolation import (
     PercolationResult,
     critical_ratio,
-    critical_mean_fanout,
     giant_component_size,
     mean_component_size,
     percolation_analysis,
@@ -33,18 +28,14 @@ from repro.core.percolation import (
 from repro.core.reliability import (
     ReliabilityModel,
     reliability,
-    reliability_curve,
-    required_fanout_poisson,
 )
 from repro.core.success import (
     success_probability,
     min_executions,
     success_count_pmf,
-    SuccessModel,
 )
 from repro.core.poisson_case import (
     poisson_reliability,
-    poisson_critical_ratio,
     poisson_critical_fanout,
     mean_fanout_for_reliability,
 )
@@ -54,30 +45,20 @@ __all__ = [
     "FanoutDistribution",
     "PoissonFanout",
     "FixedFanout",
-    "BinomialFanout",
     "GeometricFanout",
     "UniformFanout",
-    "ZipfFanout",
-    "EmpiricalFanout",
     "MixtureFanout",
-    "GeneratingFunction",
-    "build_generating_functions",
     "PercolationResult",
     "critical_ratio",
-    "critical_mean_fanout",
     "giant_component_size",
     "mean_component_size",
     "percolation_analysis",
     "ReliabilityModel",
     "reliability",
-    "reliability_curve",
-    "required_fanout_poisson",
     "success_probability",
     "min_executions",
     "success_count_pmf",
-    "SuccessModel",
     "poisson_reliability",
-    "poisson_critical_ratio",
     "poisson_critical_fanout",
     "mean_fanout_for_reliability",
     "GossipModel",

@@ -20,7 +20,8 @@ Each distribution class therefore exposes three views of the same object:
 
 The Poisson distribution is the paper's case study (Section 4.3); the other
 distributions exercise the paper's claim that the model applies to *arbitrary*
-fanout distributions and are used by the ablation benchmarks.
+fanout distributions (``repro analyze --family``, the fanout-distribution
+example).
 """
 
 from __future__ import annotations
@@ -44,11 +45,8 @@ __all__ = [
     "FanoutDistribution",
     "PoissonFanout",
     "FixedFanout",
-    "BinomialFanout",
     "GeometricFanout",
     "UniformFanout",
-    "ZipfFanout",
-    "EmpiricalFanout",
     "MixtureFanout",
 ]
 
@@ -333,51 +331,11 @@ class FixedFanout(FanoutDistribution):
         return d
 
 
-class BinomialFanout(FanoutDistribution):
-    """Binomial fanout ``B(n, p)``.
-
-    Models a member that considers ``n`` candidate targets and forwards to
-    each independently with probability ``p`` (the classical "infect-and-die"
-    epidemic setting).
-    """
-
-    name = "binomial"
-
-    def __init__(self, trials: int, prob: float) -> None:
-        self.trials = check_integer("trials", trials, minimum=0)
-        self.prob = check_probability("prob", prob)
-
-    def pmf_array(self, k_max: int | None = None) -> np.ndarray:
-        if k_max is None:
-            k_max = self.trials
-        from scipy import stats
-
-        k = np.arange(k_max + 1)
-        return stats.binom.pmf(k, self.trials, self.prob)
-
-    def mean(self) -> float:
-        return self.trials * self.prob
-
-    def variance(self) -> float:
-        return self.trials * self.prob * (1.0 - self.prob)
-
-    def sample(self, size: int, seed: SeedLike = None) -> np.ndarray:
-        size = check_sample_shape("size", size)
-        rng = as_generator(seed)
-        return rng.binomial(self.trials, self.prob, size=size).astype(np.int64)
-
-    def describe(self) -> dict:
-        d = super().describe()
-        d["trials"] = self.trials
-        d["prob"] = self.prob
-        return d
-
-
 class GeometricFanout(FanoutDistribution):
     """Geometric fanout supported on ``{0, 1, 2, ...}`` with success probability ``p``.
 
     ``P(F = k) = p (1-p)^k`` and ``E[F] = (1-p)/p``.  A heavy-tailed-ish
-    alternative to Poisson at equal mean, used in the distribution ablation.
+    alternative to Poisson at equal mean (the CLI's ``geometric`` family).
     """
 
     name = "geometric"
@@ -441,8 +399,8 @@ class UniformFanout(FanoutDistribution):
 
     Each member gossips to ``k`` targets with ``k`` drawn uniformly from
     ``{low, ..., high}`` (``0 <= low <= high``); mean ``(low + high) / 2``.
-    The bounded-variance counterpoint to the heavy-tailed families in the
-    distribution ablations.
+    The bounded-variance counterpoint to the geometric family (the CLI's
+    ``uniform`` family).
     """
 
     name = "uniform"
@@ -502,103 +460,6 @@ class UniformFanout(FanoutDistribution):
         d = super().describe()
         d["low"] = self.low
         d["high"] = self.high
-        return d
-
-
-class ZipfFanout(FanoutDistribution):
-    """Truncated power-law (Zipf) fanout on ``{1, ..., k_max}``.
-
-    ``P(F = k) ∝ k^{-alpha}``.  Heavy-tailed fanouts arise when gossip targets
-    are drawn from skewed overlay views (hub-like members forward to many
-    peers while most members forward to few).
-    """
-
-    name = "zipf"
-
-    def __init__(self, alpha: float, k_max: int) -> None:
-        self.alpha = check_positive("alpha", alpha)
-        self.k_max = check_integer("k_max", k_max, minimum=1)
-        k = np.arange(1, self.k_max + 1, dtype=float)
-        weights = k**-self.alpha
-        self._pmf_tail = weights / weights.sum()
-
-    def pmf_array(self, k_max: int | None = None) -> np.ndarray:
-        if k_max is None:
-            k_max = self.k_max
-        arr = np.zeros(k_max + 1)
-        hi = min(k_max, self.k_max)
-        arr[1 : hi + 1] = self._pmf_tail[:hi]
-        return arr
-
-    def mean(self) -> float:
-        k = np.arange(1, self.k_max + 1, dtype=float)
-        return float(np.sum(k * self._pmf_tail))
-
-    def sample(self, size: int, seed: SeedLike = None) -> np.ndarray:
-        size = check_sample_shape("size", size)
-        rng = as_generator(seed)
-        return rng.choice(
-            np.arange(1, self.k_max + 1, dtype=np.int64), size=size, p=self._pmf_tail
-        )
-
-    def describe(self) -> dict:
-        d = super().describe()
-        d["alpha"] = self.alpha
-        d["k_max"] = self.k_max
-        return d
-
-
-class EmpiricalFanout(FanoutDistribution):
-    """Fanout distribution given explicitly as a PMF vector.
-
-    Useful for plugging in measured fanout histograms (e.g. from a deployed
-    overlay) or for property-based testing with arbitrary distributions.
-    """
-
-    name = "empirical"
-
-    def __init__(self, pmf: Sequence[float]) -> None:
-        arr = np.asarray(pmf, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("pmf must be a non-empty 1-D sequence")
-        if np.any(arr < 0):
-            raise ValueError("pmf entries must be non-negative")
-        total = arr.sum()
-        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
-            raise ValueError(f"pmf must sum to 1 (got {total!r})")
-        self._pmf = arr / total
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[int]) -> "EmpiricalFanout":
-        """Build the empirical PMF of observed integer fanout samples."""
-        samples = np.asarray(samples, dtype=np.int64)
-        if samples.size == 0:
-            raise ValueError("samples must be non-empty")
-        if np.any(samples < 0):
-            raise ValueError("samples must be non-negative")
-        counts = np.bincount(samples)
-        return cls(counts / counts.sum())
-
-    def pmf_array(self, k_max: int | None = None) -> np.ndarray:
-        if k_max is None:
-            k_max = len(self._pmf) - 1
-        arr = np.zeros(k_max + 1)
-        hi = min(k_max + 1, len(self._pmf))
-        arr[:hi] = self._pmf[:hi]
-        return arr
-
-    def mean(self) -> float:
-        k = np.arange(len(self._pmf))
-        return float(np.sum(k * self._pmf))
-
-    def sample(self, size: int, seed: SeedLike = None) -> np.ndarray:
-        size = check_sample_shape("size", size)
-        rng = as_generator(seed)
-        return rng.choice(np.arange(len(self._pmf), dtype=np.int64), size=size, p=self._pmf)
-
-    def describe(self) -> dict:
-        d = super().describe()
-        d["support"] = len(self._pmf) - 1
         return d
 
 

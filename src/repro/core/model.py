@@ -27,8 +27,7 @@ from repro.utils.rng import SeedLike
 from repro.utils.validation import check_integer, check_probability
 
 if TYPE_CHECKING:
-    from repro.simulation.membership import MembershipView
-    from repro.simulation.metrics import ReliabilityEstimate, SuccessCountResult
+    from repro.simulation.metrics import ReliabilityEstimate
 
 __all__ = ["GossipModel"]
 
@@ -79,10 +78,6 @@ class GossipModel:
         """Convenience constructor for the Poisson case study ``Gossip(n, Po(z), q)``."""
         return cls(n=n, distribution=PoissonFanout(mean_fanout), q=q)
 
-    def nonfailed_members(self) -> int:
-        """Return ``n_nonfailed = [n·q]`` (at least 1: the source never fails)."""
-        return max(1, int(round(self.n * self.q)))
-
     def analysis(self) -> PercolationResult:
         """Return the full percolation analysis (cached)."""
         if "analysis" not in self._analysis_cache:
@@ -121,7 +116,6 @@ class GossipModel:
         *,
         repetitions: int = 20,
         seed: SeedLike = None,
-        membership: MembershipView | None = None,
         processes: int | None = 1,
     ) -> ReliabilityEstimate:
         """Estimate the reliability by Monte-Carlo simulation.
@@ -140,36 +134,7 @@ class GossipModel:
             q=self.q,
             repetitions=repetitions,
             seed=seed,
-            membership=membership,
             processes=processes,
-        )
-
-    def simulate_success(
-        self,
-        *,
-        executions: int = 20,
-        simulations: int = 100,
-        success_threshold: float = 1.0,
-        seed: SeedLike = None,
-    ) -> SuccessCountResult:
-        """Estimate the distribution of the success count ``X`` by simulation.
-
-        Mirrors the Figs. 6-7 protocol: run ``executions`` independent
-        executions per simulation, count how many reach all (or a fraction
-        ``success_threshold`` of) nonfailed members, and repeat the whole
-        experiment ``simulations`` times.  See
-        :func:`repro.simulation.rounds.simulate_success_counts`.
-        """
-        from repro.simulation.rounds import simulate_success_counts
-
-        return simulate_success_counts(
-            n=self.n,
-            distribution=self.distribution,
-            q=self.q,
-            executions=executions,
-            simulations=simulations,
-            success_threshold=success_threshold,
-            seed=seed,
         )
 
     # ----------------------------------------------------------- metadata

@@ -18,8 +18,8 @@ Callaway et al. the size is measured as a fraction of *all* nodes,
 ``S_all = F0(1) − F0(u) = q (1 − G0(u))``.  The paper's reliability is the
 fraction of *nonfailed* nodes reached, ``R = S_all / q = 1 − G0(u)``, which
 for the Poisson case reduces to the paper's Eq. 11 ``S = 1 − e^{−zqS}``.
-Both are exposed here; :func:`giant_component_size` returns the paper's
-(nonfailed-relative) definition.
+:class:`PercolationResult` carries both; :func:`giant_component_size` returns
+the paper's (nonfailed-relative) definition.
 """
 
 from __future__ import annotations
@@ -28,16 +28,15 @@ import math
 from dataclasses import dataclass
 
 from repro.core.distributions import FanoutDistribution
-from repro.core.generating import build_generating_functions
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.numerics import brentq
+from repro.utils.validation import check_probability
 
 __all__ = [
     "PercolationResult",
     "critical_ratio",
-    "critical_mean_fanout",
     "mean_component_size",
+    "self_consistent_u",
     "giant_component_size",
-    "giant_component_size_all_nodes",
     "percolation_analysis",
 ]
 
@@ -96,17 +95,6 @@ def critical_ratio(dist: FanoutDistribution) -> float:
     return 1.0 / excess
 
 
-def critical_mean_fanout(q: float) -> float:
-    """Return the critical Poisson mean fanout ``z_c = 1/q`` for ratio ``q``.
-
-    This is the contrapositive reading of Eq. 10 (``q > 1/z``): for the giant
-    component to exist at nonfailed ratio ``q`` the mean fanout must exceed
-    ``1/q``.
-    """
-    q = check_probability("q", q, allow_zero=False)
-    return 1.0 / q
-
-
 def mean_component_size(dist: FanoutDistribution, q: float) -> float:
     """Return the mean component size ``<s>`` (Eq. 2).
 
@@ -130,9 +118,52 @@ def mean_component_size(dist: FanoutDistribution, q: float) -> float:
     return q * (1.0 + q * g0_prime_1 / denom)
 
 
-def _solve_u(dist: FanoutDistribution, q: float) -> float:
-    gfs = build_generating_functions(dist, q)
-    return gfs.self_consistent_u()
+def self_consistent_u(dist: FanoutDistribution, q: float) -> float:
+    """Solve the self-consistency condition of Eq. 4 for ``u``.
+
+    ``u`` is the probability that a member reached by following a random
+    gossip edge does *not* belong to the giant component.  With uniform
+    failures the failure-weighted excess function is ``F1 = q G1``
+    (Callaway et al.), so ``u`` satisfies::
+
+        u = 1 - F1(1) + F1(u) = 1 - q + q * G1(u)
+
+    The trivial solution ``u = 1`` always exists; below the percolation
+    threshold it is the only one.  Fixed-point iteration from ``u = 0``
+    converges to the smallest root, and Brent's method polishes the result
+    when a bracket exists.
+    """
+    q = check_probability("q", q)
+    if q == 0.0:
+        return 1.0
+
+    def step(u: float) -> float:
+        return 1.0 - q + q * float(dist.g1(u))
+
+    u = 0.0
+    for _ in range(10_000):
+        u_next = step(u)
+        if not math.isfinite(u_next):
+            raise ArithmeticError("fixed-point iteration diverged")
+        u_next = min(max(u_next, 0.0), 1.0)
+        if abs(u_next - u) < 1e-12:
+            u = u_next
+            break
+        u = u_next
+
+    # Polish with a bracketed root find on h(u) = u - step(u) when the
+    # non-trivial root is separated from u = 1.
+    def h(v: float) -> float:
+        return v - step(v)
+
+    if u < 1.0 - 1e-9:
+        lo, hi = 0.0, 1.0 - 1e-12
+        try:
+            if h(lo) * h(hi) < 0:
+                u = brentq(h, lo, hi, xtol=1e-14)
+        except ValueError:
+            pass
+    return float(min(max(u, 0.0), 1.0))
 
 
 def giant_component_size(dist: FanoutDistribution, q: float) -> float:
@@ -146,19 +177,9 @@ def giant_component_size(dist: FanoutDistribution, q: float) -> float:
     q = check_probability("q", q)
     if q == 0.0 or dist.mean() <= 0 or not q > critical_ratio(dist):
         return 0.0
-    u = _solve_u(dist, q)
+    u = self_consistent_u(dist, q)
     size = 1.0 - float(dist.g0(u))
     return float(min(max(size, 0.0), 1.0))
-
-
-def giant_component_size_all_nodes(dist: FanoutDistribution, q: float) -> float:
-    """Return the giant-component size as a fraction of *all* members.
-
-    This is ``F0(1) − F0(u) = q (1 − G0(u))`` — the normalisation used by
-    Callaway et al. and by the paper's Eq. 4 before dividing by ``q``.
-    """
-    q = check_probability("q", q)
-    return q * giant_component_size(dist, q)
 
 
 def percolation_analysis(dist: FanoutDistribution, q: float) -> PercolationResult:
@@ -196,7 +217,7 @@ def percolation_analysis(dist: FanoutDistribution, q: float) -> PercolationResul
     # At or below the critical point (Eq. 3) the only root is u = 1.
     u, size = 1.0, 0.0
     if supercritical:
-        u = _solve_u(dist, q)
+        u = self_consistent_u(dist, q)
         size = float(min(max(1.0 - float(dist.g0(u)), 0.0), 1.0))
     return PercolationResult(
         q=q,
@@ -208,34 +229,3 @@ def percolation_analysis(dist: FanoutDistribution, q: float) -> PercolationResul
         giant_component_size_all=q * size,
         mean_component_size=mean_component_size(dist, q),
     )
-
-
-def spanning_fanout_condition(dist: FanoutDistribution, q: float) -> bool:
-    """Return ``True`` if the pair ``(P, q)`` is above the percolation threshold.
-
-    Equivalent to checking the paper's Eq. 10 generalised to arbitrary fanout
-    distributions: ``q * G1'(1) > 1``.
-    """
-    q = check_probability("q", q)
-    mean = dist.mean()
-    if mean <= 0:
-        return False
-    return q * dist.g1_prime(1.0) > 1.0
-
-
-def critical_fanout_scale(dist: FanoutDistribution, q: float) -> float:
-    """Return the factor by which the mean excess degree exceeds criticality.
-
-    Values > 1 indicate a supercritical configuration; exactly 1 is the phase
-    transition.  Useful for plotting distance-to-threshold in ablations.
-    """
-    q = check_probability("q", q, allow_zero=False)
-    mean = dist.mean()
-    if mean <= 0:
-        return 0.0
-    return q * dist.g1_prime(1.0)
-
-
-def check_positive_mean(dist: FanoutDistribution) -> float:
-    """Validate and return the mean fanout of ``dist`` (must be > 0)."""
-    return check_positive("mean fanout", dist.mean())

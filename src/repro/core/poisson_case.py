@@ -17,31 +17,14 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-import numpy.typing as npt
-
 from repro.utils.numerics import brentq
 from repro.utils.validation import check_positive, check_probability
 
 __all__ = [
-    "poisson_critical_ratio",
     "poisson_critical_fanout",
     "poisson_reliability",
-    "poisson_reliability_curve",
     "mean_fanout_for_reliability",
-    "nonfailed_ratio_for_reliability",
 ]
-
-
-def poisson_critical_ratio(mean_fanout: float) -> float:
-    """Return ``q_c = 1/z`` (Eq. 10): the smallest useful nonfailed ratio.
-
-    Below this ratio a Poisson-``z`` gossip execution has no giant
-    component and its reliability is exactly 0; the general-distribution
-    twin is :func:`repro.core.percolation.critical_ratio` (Eq. 3).
-    """
-    mean_fanout = check_positive("mean_fanout", mean_fanout)
-    return 1.0 / mean_fanout
 
 
 def poisson_critical_fanout(q: float) -> float:
@@ -91,13 +74,6 @@ def poisson_reliability(mean_fanout: float, q: float, *, tol: float = 1e-12) -> 
     return float(min(max(s, 0.0), 1.0))
 
 
-def poisson_reliability_curve(mean_fanouts: npt.ArrayLike, q: float) -> np.ndarray:
-    """Vectorised Eq. 11: reliability for each mean fanout in ``mean_fanouts``."""
-    q = check_probability("q", q)
-    fanouts = np.asarray(mean_fanouts, dtype=float)
-    return np.array([poisson_reliability(float(z), q) if z > 0 else 0.0 for z in fanouts])
-
-
 def mean_fanout_for_reliability(reliability: float, q: float) -> float:
     """Return the mean fanout needed for a target reliability (Eq. 12).
 
@@ -113,18 +89,3 @@ def mean_fanout_for_reliability(reliability: float, q: float) -> float:
     )
     q = check_probability("q", q, allow_zero=False)
     return -math.log(1.0 - reliability) / (q * reliability)
-
-
-def nonfailed_ratio_for_reliability(reliability: float, mean_fanout: float) -> float:
-    """Return the nonfailed ratio ``q`` needed for a target reliability.
-
-    Inverse reading of Eq. 12: ``q = −ln(1 − S) / (z S)``.  Values above 1
-    mean the target is unreachable at that fanout no matter how few members
-    fail; ``math.inf`` is never returned, the raw ratio is, so callers can
-    compare it against 1 themselves.
-    """
-    reliability = check_probability(
-        "reliability", reliability, allow_zero=False, allow_one=False
-    )
-    mean_fanout = check_positive("mean_fanout", mean_fanout)
-    return -math.log(1.0 - reliability) / (mean_fanout * reliability)

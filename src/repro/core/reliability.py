@@ -7,20 +7,17 @@ the gossip-induced generalized random graph.  This module wraps the
 percolation machinery into the reliability-centric API used by experiments
 and benchmarks:
 
-* :func:`reliability` — point evaluation of ``R(q, P)``,
-* :func:`reliability_curve` — the analytical series of Figs. 4/5
-  (reliability vs mean fanout for a family of Poisson distributions),
-* :func:`required_fanout_poisson` — Eq. 12, the design-oriented inverse, and
+* :func:`reliability` — point evaluation of ``R(q, P)``, and
 * :class:`ReliabilityModel` — an object-style wrapper bundling a fanout
   distribution with failure information.
+
+Eq. 12, the design-oriented inverse, is
+:func:`repro.core.poisson_case.mean_fanout_for_reliability`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.core.distributions import FanoutDistribution, PoissonFanout
 from repro.core.percolation import (
@@ -29,16 +26,11 @@ from repro.core.percolation import (
     giant_component_size,
     percolation_analysis,
 )
-from repro.core.poisson_case import (
-    mean_fanout_for_reliability,
-    poisson_reliability,
-)
+from repro.core.poisson_case import poisson_reliability
 from repro.utils.validation import check_probability
 
 __all__ = [
     "reliability",
-    "reliability_curve",
-    "required_fanout_poisson",
     "ReliabilityModel",
 ]
 
@@ -54,43 +46,6 @@ def reliability(dist: FanoutDistribution, q: float) -> float:
     if isinstance(dist, PoissonFanout):
         return poisson_reliability(dist.mean_fanout, q)
     return giant_component_size(dist, q)
-
-
-def reliability_curve(
-    mean_fanouts: Sequence[float],
-    q: float,
-    *,
-    distribution_factory: Callable[[float], FanoutDistribution] = PoissonFanout,
-) -> np.ndarray:
-    """Return ``R(q, P(z))`` for each mean fanout ``z`` in ``mean_fanouts``.
-
-    ``distribution_factory`` maps a mean fanout to a distribution instance;
-    the default (Poisson) reproduces the analytical curves of Figs. 4 and 5.
-    Passing e.g. ``lambda z: GeometricFanout.from_mean(z)`` produces the
-    ablation curves for other distribution families.
-    """
-    q = check_probability("q", q)
-    values = []
-    for z in mean_fanouts:
-        if z <= 0:
-            values.append(0.0)
-            continue
-        values.append(reliability(distribution_factory(float(z)), q))
-    return np.asarray(values, dtype=float)
-
-
-def required_fanout_poisson(target_reliability: float, q: float) -> float:
-    """Return the Poisson mean fanout achieving ``target_reliability`` (Eq. 12).
-
-    Alias of :func:`~repro.core.poisson_case.mean_fanout_for_reliability`
-    kept under the paper's "required fanout" phrasing: inverts Eq. 11 in
-    closed form, ``z = −ln(1 − R) / (q R)``, for a target reliability in
-    ``(0, 1)`` at nonfailed ratio ``q``.  For the loss-aware and
-    Monte-Carlo-certified inverses see
-    :func:`repro.analysis.dimensioning.analytic_required_fanout` and
-    :func:`repro.analysis.dimensioning.dimension_fanout`.
-    """
-    return mean_fanout_for_reliability(target_reliability, q)
 
 
 @dataclass
@@ -120,10 +75,6 @@ class ReliabilityModel:
         if q not in self._cache:
             self._cache[q] = reliability(self.distribution, q)
         return self._cache[q]
-
-    def reliability_profile(self, qs: Sequence[float]) -> np.ndarray:
-        """Return reliability across a grid of nonfailed ratios."""
-        return np.asarray([self.reliability(float(q)) for q in qs], dtype=float)
 
     def analysis(self, q: float) -> PercolationResult:
         """Return the full percolation record at ratio ``q``."""

@@ -18,7 +18,6 @@ distribution with simulation for two parameter pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "min_executions",
     "success_count_pmf",
     "success_count_cdf",
-    "SuccessModel",
 ]
 
 
@@ -95,38 +93,3 @@ def success_count_cdf(executions: int, per_execution_reliability: float) -> np.n
 
     k = np.arange(t + 1)
     return stats.binom.cdf(k, t, p_r)
-
-
-@dataclass(frozen=True)
-class SuccessModel:
-    """Success-of-gossiping model for a fixed per-execution reliability.
-
-    Bundles Eqs. 5-6 and the Binomial success-count distribution behind a
-    small object so experiment code reads naturally::
-
-        model = SuccessModel(per_execution_reliability=0.967)
-        model.min_executions(0.999)     # -> 3
-        model.success_probability(3)    # -> 0.999964...
-    """
-
-    per_execution_reliability: float
-
-    def __post_init__(self) -> None:
-        check_probability("per_execution_reliability", self.per_execution_reliability)
-
-    def success_probability(self, executions: int) -> float:
-        """Return ``Pr(S(q, P, t))`` for ``t = executions`` (Eq. 5)."""
-        return success_probability(self.per_execution_reliability, executions)
-
-    def min_executions(self, required_success: float) -> int:
-        """Return the minimum number of executions for ``required_success`` (Eq. 6)."""
-        return min_executions(required_success, self.per_execution_reliability)
-
-    def success_count_pmf(self, executions: int) -> np.ndarray:
-        """Return the ``B(t, p_r)`` PMF of the number of successful executions."""
-        return success_count_pmf(executions, self.per_execution_reliability)
-
-    def expected_successes(self, executions: int) -> float:
-        """Return ``E[X] = t · p_r``."""
-        t = check_integer("executions", executions, minimum=0)
-        return t * self.per_execution_reliability

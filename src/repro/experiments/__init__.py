@@ -26,10 +26,10 @@ from repro.experiments.dimensioning import (
 )
 from repro.experiments.fig2_mean_fanout import Fig2Config, Fig2Result, run_fig2
 from repro.experiments.fig3_min_executions import Fig3Config, Fig3Result, run_fig3
-from repro.experiments.fig4_reliability_1000 import Fig4Config, Fig4Result, run_fig4
-from repro.experiments.fig5_reliability_5000 import Fig5Config, Fig5Result, run_fig5
-from repro.experiments.fig6_success_f4_q09 import Fig6Config, Fig6Result, run_fig6
-from repro.experiments.fig7_success_f6_q06 import Fig7Config, Fig7Result, run_fig7
+from repro.experiments.fig4_reliability_1000 import Fig4Config, run_fig4
+from repro.experiments.fig5_reliability_5000 import Fig5Config, run_fig5
+from repro.experiments.fig6_success_f4_q09 import Fig6Config, run_fig6
+from repro.experiments.fig7_success_f6_q06 import Fig7Config, run_fig7
 from repro.experiments.latency_profile import (
     LatencyPoint,
     LatencyProfileConfig,
@@ -65,16 +65,12 @@ __all__ = [
     "Fig3Result",
     "run_fig3",
     "Fig4Config",
-    "Fig4Result",
     "run_fig4",
     "Fig5Config",
-    "Fig5Result",
     "run_fig5",
     "Fig6Config",
-    "Fig6Result",
     "run_fig6",
     "Fig7Config",
-    "Fig7Result",
     "run_fig7",
     "Sec4Config",
     "Sec4Result",

@@ -206,10 +206,6 @@ class DimensioningExperimentResult:
             f"no point for protocol={protocol!r}, target={target!r}, q={q!r}, loss={loss!r}"
         )
 
-    def total_replicas(self) -> int:
-        """Return the Monte-Carlo replicas the whole grid consumed."""
-        return int(sum(p.replicas_used for p in self.points))
-
     def to_table(self, *, precision: int = 4) -> str:
         """Render the full grid as an aligned text table."""
         return dimensioning_to_table(self.points, precision=precision)

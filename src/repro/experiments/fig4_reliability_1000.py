@@ -16,7 +16,7 @@ from repro.experiments.reliability_figures import (
     run_reliability_figure,
 )
 
-__all__ = ["Fig4Config", "Fig4Result", "run_fig4"]
+__all__ = ["Fig4Config", "run_fig4"]
 
 EXPERIMENT_ID = "fig4"
 PAPER_REFERENCE = "Figs. 4a/4b — Reliability in a 1000 nodes group"
@@ -27,10 +27,6 @@ class Fig4Config(ReliabilityFigureConfig):
     """Fig. 4 configuration: the shared protocol at group size 1000."""
 
     n: int = 1000
-
-
-class Fig4Result(ReliabilityFigureResult):
-    """Fig. 4 result type (alias of the shared reliability-figure result)."""
 
 
 def run_fig4(config: Fig4Config | None = None) -> ReliabilityFigureResult:

@@ -14,7 +14,7 @@ from repro.experiments.reliability_figures import (
     run_reliability_figure,
 )
 
-__all__ = ["Fig5Config", "Fig5Result", "run_fig5"]
+__all__ = ["Fig5Config", "run_fig5"]
 
 EXPERIMENT_ID = "fig5"
 PAPER_REFERENCE = "Figs. 5a/5b — Reliability in a 5000 nodes group"
@@ -25,10 +25,6 @@ class Fig5Config(ReliabilityFigureConfig):
     """Fig. 5 configuration: the shared protocol at group size 5000."""
 
     n: int = 5000
-
-
-class Fig5Result(ReliabilityFigureResult):
-    """Fig. 5 result type (alias of the shared reliability-figure result)."""
 
 
 def run_fig5(config: Fig5Config | None = None) -> ReliabilityFigureResult:

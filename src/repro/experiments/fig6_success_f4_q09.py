@@ -16,7 +16,7 @@ from repro.experiments.success_figures import (
     run_success_figure,
 )
 
-__all__ = ["Fig6Config", "Fig6Result", "run_fig6"]
+__all__ = ["Fig6Config", "run_fig6"]
 
 EXPERIMENT_ID = "fig6"
 PAPER_REFERENCE = "Fig. 6 — The distribution of Gossiping Success with f=4.0, q=0.9"
@@ -28,10 +28,6 @@ class Fig6Config(SuccessFigureConfig):
 
     mean_fanout: float = 4.0
     q: float = 0.9
-
-
-class Fig6Result(SuccessFigureResult):
-    """Fig. 6 result type (alias of the shared success-figure result)."""
 
 
 def run_fig6(config: Fig6Config | None = None) -> SuccessFigureResult:

@@ -17,7 +17,7 @@ from repro.experiments.success_figures import (
     run_success_figure,
 )
 
-__all__ = ["Fig7Config", "Fig7Result", "run_fig7"]
+__all__ = ["Fig7Config", "run_fig7"]
 
 EXPERIMENT_ID = "fig7"
 PAPER_REFERENCE = "Fig. 7 — The distribution of Gossiping Success with f=6.0, q=0.6"
@@ -29,10 +29,6 @@ class Fig7Config(SuccessFigureConfig):
 
     mean_fanout: float = 6.0
     q: float = 0.6
-
-
-class Fig7Result(SuccessFigureResult):
-    """Fig. 7 result type (alias of the shared success-figure result)."""
 
 
 def run_fig7(config: Fig7Config | None = None) -> SuccessFigureResult:

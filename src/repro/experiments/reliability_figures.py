@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.compare import SeriesComparison, compare_sweep
-from repro.analysis.tables import comparison_to_table, sweep_to_table
+from repro.analysis.tables import sweep_to_table
 from repro.core.poisson_case import poisson_critical_fanout
 from repro.simulation.runner import SweepResult, reliability_sweep
 from repro.utils.validation import check_integer
@@ -95,10 +95,6 @@ class ReliabilityFigureResult:
     def to_table(self, *, precision: int = 4) -> str:
         """Render the full sweep (the figure's data points) as a table."""
         return sweep_to_table(self.sweep, precision=precision)
-
-    def comparison_table(self, *, precision: int = 4) -> str:
-        """Render the per-``q`` analysis-vs-simulation error metrics."""
-        return comparison_to_table(self.comparisons, precision=precision)
 
     def series(self, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (fanouts, simulated, analytical) for one ``q`` curve."""

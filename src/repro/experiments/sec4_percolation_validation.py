@@ -158,10 +158,6 @@ class Sec4Result:
     points: tuple
     critical: tuple
 
-    def points_for_n(self, n: int) -> list[Sec4Point]:
-        """Return the ``q`` series of one group size."""
-        return [p for p in self.points if p.n == n]
-
     def to_table(self, *, precision: int = 4) -> str:
         """Render the grid and the per-``n`` critical-ratio estimates."""
         headers = ["n", "q", "replicas", "eq4", "giant_emp", "giant_std", "gossip_rel", "err_giant"]

@@ -49,7 +49,8 @@ class SuccessFigureConfig:
     condition_on_spread:
         Condition each trial on the gossip taking off, matching the paper's
         use of the analytical reliability as the Bernoulli success
-        probability (see DESIGN.md's numerical conventions).
+        probability (see ``conditional_on_spread`` of
+        :func:`repro.simulation.runner.estimate_reliability`).
     """
 
     n: int = 2000

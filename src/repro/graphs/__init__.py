@@ -6,8 +6,7 @@ the message to y").  This subpackage provides the graph-level machinery the
 simulation and the empirical validation of the percolation predictions rely
 on:
 
-* :mod:`repro.graphs.degree_sequence` — sampling degree (fanout) sequences
-  and computing their empirical moments,
+* :mod:`repro.graphs.degree_sequence` — sampling degree (fanout) sequences,
 * :mod:`repro.graphs.configuration_model` — building random (di)graphs with a
   prescribed degree sequence,
 * :mod:`repro.graphs.components` — union-find, connected components, and
@@ -23,8 +22,6 @@ on:
 
 from repro.graphs.degree_sequence import (
     sample_degree_sequence,
-    empirical_moments,
-    is_graphical,
 )
 from repro.graphs.components import (
     UnionFind,
@@ -42,19 +39,12 @@ from repro.graphs.ensemble import (
 from repro.graphs.configuration_model import (
     configuration_model_edges,
     directed_configuration_edges,
-    to_networkx,
 )
 from repro.graphs.gossip_graph import GossipGraph, build_gossip_graph
-from repro.graphs.metrics import (
-    degree_statistics,
-    component_size_distribution,
-    empirical_giant_component,
-)
+from repro.graphs.metrics import empirical_giant_component
 
 __all__ = [
     "sample_degree_sequence",
-    "empirical_moments",
-    "is_graphical",
     "UnionFind",
     "component_labels",
     "connected_components",
@@ -66,10 +56,7 @@ __all__ = [
     "percolation_ensemble",
     "configuration_model_edges",
     "directed_configuration_edges",
-    "to_networkx",
     "GossipGraph",
     "build_gossip_graph",
-    "degree_statistics",
-    "component_size_distribution",
     "empirical_giant_component",
 ]

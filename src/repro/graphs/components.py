@@ -78,14 +78,6 @@ class UnionFind:
         self.n_components -= 1
         return True
 
-    def connected(self, a: int, b: int) -> bool:
-        """Return True iff ``a`` and ``b`` are in the same set."""
-        return self.find(a) == self.find(b)
-
-    def component_size(self, x: int) -> int:
-        """Return the size of the set containing ``x``."""
-        return int(self.size[self.find(x)])
-
     def roots(self) -> np.ndarray:
         """Return the representative of every element at once.
 

@@ -2,11 +2,9 @@
 
 The out-degree of a member in one gossip execution is exactly its fanout, so
 degree sequences are sampled straight from a
-:class:`~repro.core.distributions.FanoutDistribution`.  The helpers here also
-provide the empirical moments used to compare a realised graph against the
-analytical generating-function predictions, and the Erdős–Gallai
-graphicality check used when an *undirected* configuration-model graph is
-requested.
+:class:`~repro.core.distributions.FanoutDistribution`.  :class:`DegreeMoments`
+holds the empirical moments the graph ensemble compares against the
+analytical generating-function predictions.
 """
 
 from __future__ import annotations
@@ -14,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.core.distributions import FanoutDistribution
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer
 
-__all__ = ["sample_degree_sequence", "empirical_moments", "is_graphical", "DegreeMoments"]
+__all__ = ["sample_degree_sequence", "DegreeMoments"]
 
 
 def sample_degree_sequence(
@@ -72,43 +69,3 @@ class DegreeMoments:
     second_factorial: float
     mean_excess: float
     variance: float
-
-
-def empirical_moments(degrees: np.ndarray) -> DegreeMoments:
-    """Compute the empirical moments of a degree sequence."""
-    degrees = np.asarray(degrees, dtype=float)
-    if degrees.size == 0:
-        return DegreeMoments(mean=0.0, second_factorial=0.0, mean_excess=0.0, variance=0.0)
-    mean = float(degrees.mean())
-    second_factorial = float(np.mean(degrees * (degrees - 1.0)))
-    mean_excess = second_factorial / mean if mean > 0 else 0.0
-    variance = float(degrees.var())
-    return DegreeMoments(
-        mean=mean,
-        second_factorial=second_factorial,
-        mean_excess=mean_excess,
-        variance=variance,
-    )
-
-
-def is_graphical(degrees: npt.ArrayLike) -> bool:
-    """Return ``True`` iff ``degrees`` is realisable as a simple undirected graph.
-
-    Implements the Erdős–Gallai condition.  Used by the undirected
-    configuration-model builder to decide whether a sampled sequence needs the
-    usual "+1 on a random entry" parity repair or must be rejected.
-    """
-    d = np.sort(np.asarray(degrees, dtype=np.int64))[::-1]
-    n = d.size
-    if n == 0:
-        return True
-    if np.any(d < 0) or d[0] >= n:
-        return False
-    if d.sum() % 2 != 0:
-        return False
-    prefix = np.cumsum(d)
-    for k in range(1, n + 1):
-        rhs = k * (k - 1) + np.sum(np.minimum(d[k:], k))
-        if prefix[k - 1] > rhs:
-            return False
-    return True

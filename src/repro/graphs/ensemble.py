@@ -154,16 +154,6 @@ class GraphEnsembleResult:
             return float("nan")
         return float(self.reliability[spread].mean())
 
-    def mean_giant_fraction(self) -> float:
-        """Mean giant-component fraction across replicas."""
-        return float(self.giant_fraction.mean())
-
-    def std_giant_fraction(self) -> float:
-        """Sample standard deviation of the giant fraction (0 for one replica)."""
-        if self.repetitions < 2:
-            return 0.0
-        return float(self.giant_fraction.std(ddof=1))
-
     def empirical_critical_ratio(self) -> float:
         """Empirical Eq. 3: ``1 / G1'(1)`` from the pooled degree moments."""
         excess = self.degree_moments.mean_excess

@@ -111,13 +111,6 @@ class GossipGraph:
         effective = self.effective_edges()
         return largest_component_size(self.n, effective) / alive_count if alive_count else 0.0
 
-    def out_degree_of_alive(self) -> np.ndarray:
-        """Return the realised out-degrees of nonfailed members."""
-        degrees = np.zeros(self.n, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(degrees, self.edges[:, 0], 1)
-        return degrees[self.alive]
-
 
 def build_gossip_graph(
     n: int,

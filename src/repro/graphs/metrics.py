@@ -1,10 +1,10 @@
 """Empirical graph statistics used to validate the analytical model.
 
-These helpers compute, on realised graphs, the quantities the generating
-function machinery predicts in expectation: degree moments, component-size
-distributions, and the relative size of the giant component under site
-percolation.  The integration tests compare them against
-:mod:`repro.core.percolation` at moderate ``n``.
+:func:`empirical_giant_component` measures, on realised configuration-model
+graphs, the relative size of the giant component under site percolation,
+which the generating-function machinery predicts in expectation.  The
+integration tests compare it against :mod:`repro.core.percolation` at
+moderate ``n``.
 """
 
 from __future__ import annotations
@@ -16,26 +16,14 @@ import numpy as np
 from repro.core.distributions import FanoutDistribution
 from repro.graphs.components import component_sizes
 from repro.graphs.configuration_model import configuration_model_edges
-from repro.graphs.degree_sequence import DegreeMoments, empirical_moments, sample_degree_sequence
+from repro.graphs.degree_sequence import sample_degree_sequence
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
-    "degree_statistics",
-    "component_size_distribution",
     "empirical_giant_component",
     "GiantComponentEstimate",
 ]
-
-
-def degree_statistics(degrees: np.ndarray) -> DegreeMoments:
-    """Return the empirical degree moments (thin wrapper kept for API symmetry)."""
-    return empirical_moments(degrees)
-
-
-def component_size_distribution(n: int, edges: np.ndarray) -> np.ndarray:
-    """Return all component sizes of the undirected graph, in descending order."""
-    return component_sizes(n, edges)
 
 
 @dataclass(frozen=True)

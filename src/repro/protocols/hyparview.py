@@ -6,9 +6,10 @@ larger **passive view** kept as a reservoir of backup peers.  When a send
 over an active-view link fails (the peer left the group), the member promotes
 a random passive-view entry into the broken slot; a periodic **shuffle**
 exchanges entries between the views so the passive reservoir stays fresh.
-This is the canonical answer to the failure mode :class:`UniformPartialView`
-exhibits under churn — frozen views pointing at departed peers — and the
-protocol this module adds is the zoo's representative of that family:
+This is the canonical answer to the failure mode of a static partial view
+under churn (lpbcast's views, frozen for the execution, keep pointing at
+departed peers), and the protocol this module adds is the zoo's
+representative of that family:
 
 * dissemination is plain round-based push gossip (like
   :class:`~repro.protocols.lpbcast.LpbcastProtocol`) but over the *active*

@@ -12,8 +12,8 @@ matter for reliability under crash failures:
   quiescent, so the horizon is a parameter).
 
 Compared with the paper's algorithm the key differences are the bounded view
-and the fixed number of rounds, which is exactly what the membership ablation
-benchmark explores.
+and the fixed number of rounds; each replica draws every member's view, a
+uniform ``view_size``-subset of the other members, once per execution.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class LpbcastProtocol(Protocol):
         repetitions = int(alive.shape[0])
         size = min(self.view_size, n - 1)
         # Every replica gets its own fresh partial-view assignment, drawn for
-        # all R·n members in one batched pass (the batched analogue of one
-        # UniformPartialView per execution).
+        # all R·n members in one batched pass: member i's view is a uniform
+        # size-subset of the other n - 1 members, fixed for the execution.
         cells_total = repetitions * n
         members = np.tile(np.arange(n, dtype=np.int64), repetitions)
         picks, _ = sample_distinct_rows_excluding(

@@ -292,15 +292,6 @@ class SurfaceQueryEngine:
         """True for gossip surfaces, whose rounds axis is the ``(0,)`` sentinel."""
         return self.surface.grid.rounds == (0,)
 
-    def covers(self, *, n: int, q: float, loss: float, fanout: float,
-               rounds: int | None = None) -> bool:
-        """Return whether the query lies inside the grid on every axis."""
-        try:
-            self._locate(n, q, loss, fanout, rounds)
-        except SurfaceCoverageError:
-            return False
-        return True
-
     def _default_rounds(self, rounds: int | None) -> int:
         """Resolve a missing rounds coordinate: horizon-free surfaces pin it
         to the sentinel, protocol surfaces default to their largest horizon."""

@@ -11,7 +11,7 @@ Two simulators are provided:
   per-message latencies, message loss, and crash timing explicitly — the
   independent behavioural reference the tests pin the batched engine to.
 
-Supporting modules supply membership views (:mod:`repro.simulation.membership`),
+Supporting modules supply the full membership view (:mod:`repro.simulation.membership`),
 fail-stop failure injection (:mod:`repro.simulation.failures`), repeated-execution
 experiments (:mod:`repro.simulation.rounds`), result records
 (:mod:`repro.simulation.metrics`), and the Monte-Carlo runner / parameter sweep
@@ -44,7 +44,7 @@ dissemination path: a single execution
 """
 
 from repro.simulation.engine import EventScheduler, Event
-from repro.simulation.membership import FullView, UniformPartialView, MembershipView
+from repro.simulation.membership import FullView, MembershipView
 from repro.simulation.churn import (
     ChurnModel,
     ChurnSchedule,
@@ -98,7 +98,6 @@ __all__ = [
     "Event",
     "MembershipView",
     "FullView",
-    "UniformPartialView",
     "ChurnModel",
     "ChurnSchedule",
     "ChurnScheduleBatch",

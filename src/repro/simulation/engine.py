@@ -77,12 +77,6 @@ class EventScheduler:
         heapq.heappush(self._queue, event)
         return event
 
-    def schedule_at(self, time: float, callback: Callable, data: Any = None) -> Event:
-        """Schedule an event at an absolute simulated time (>= now)."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past (now={self.now}, time={time})")
-        return self.schedule(time - self.now, callback, data)
-
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (lazy removal)."""
         self._cancelled.add(event.seq)

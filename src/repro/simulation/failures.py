@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_integer, check_probability
+from repro.utils.validation import check_probability
 
 __all__ = [
     "CrashTiming",
@@ -92,10 +92,6 @@ class FailurePattern:
         """Return the number of nonfailed members."""
         return int(self.alive.sum())
 
-    def failed_members(self) -> np.ndarray:
-        """Return the identifiers of failed members."""
-        return np.flatnonzero(~self.alive)
-
 
 @dataclass(frozen=True)
 class FailurePatternBatch:
@@ -129,14 +125,6 @@ class FailurePatternBatch:
     def n_alive(self) -> np.ndarray:
         """Return the per-replica number of nonfailed members, shape ``(R,)``."""
         return self.alive.sum(axis=1)
-
-    def pattern(self, replica: int) -> FailurePattern:
-        """Return one replica as a scalar :class:`FailurePattern` record."""
-        replica = check_integer("replica", replica, minimum=0, maximum=self.repetitions - 1)
-        timing = np.where(
-            self.after_receive[replica], CrashTiming.AFTER_RECEIVE, CrashTiming.BEFORE_RECEIVE
-        )
-        return FailurePattern(alive=self.alive[replica].copy(), timing=timing)
 
 
 class FailureModel(ABC):

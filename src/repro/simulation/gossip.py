@@ -6,7 +6,7 @@ Two implementations of the same protocol are provided:
   propagates **all replicas of an experiment simultaneously** as ``(R, n)``
   boolean masks: per gossip round there is one vectorised fanout draw for
   every (replica, frontier-member) pair, one batched distinct-target draw
-  through :meth:`MembershipView.sample_targets_batch`, and one sort-based
+  through :meth:`FullView.sample_targets_batch`, and one sort-based
   dedup (:func:`~repro.utils.sampling.unique_unseen`) plus ``bincount`` pass
   that books deliveries, duplicates, and message counts exactly.  This
   removes the Python-interpreter round trips that dominated per-replica
@@ -43,7 +43,7 @@ from repro.simulation.churn import ChurnScheduleBatch
 from repro.simulation.engine import EventScheduler
 from repro.simulation.failures import FailurePattern, UniformCrashModel
 from repro.simulation.latency import delivery_percentiles
-from repro.simulation.membership import FullView, MembershipView
+from repro.simulation.membership import FullView
 from repro.simulation.metrics import ExecutionMetrics
 from repro.simulation.network import NetworkModel
 from repro.simulation.node import Member
@@ -135,10 +135,6 @@ class GossipExecution:
         if min_delivered is None:
             min_delivered = max(10, int(np.sqrt(self.n)))
         return self.n_delivered() > min_delivered
-
-    def missed_members(self) -> np.ndarray:
-        """Return the nonfailed members that did not receive the message."""
-        return np.flatnonzero(self.alive & ~self.delivered)
 
     def delivery_percentiles(
         self, percentiles: tuple[float, ...] = (50.0, 99.0, 99.9)
@@ -254,23 +250,6 @@ class BatchGossipResult:
             )
         return delivery_percentiles(self.delivery_times, percentiles)
 
-    def execution(self, replica: int) -> GossipExecution:
-        """Return one replica as a scalar :class:`GossipExecution` record."""
-        replica = check_integer("replica", replica, minimum=0, maximum=self.repetitions - 1)
-        return GossipExecution(
-            n=self.n,
-            source=self.source,
-            alive=self.alive[replica],
-            delivered=self.delivered[replica],
-            rounds=int(self.rounds[replica]),
-            messages_sent=int(self.messages_sent[replica]),
-            duplicates=int(self.duplicates[replica]),
-            messages_dropped=int(self.messages_dropped[replica]),
-            delivery_times=(
-                self.delivery_times[replica] if self.delivery_times is not None else None
-            ),
-        )
-
     def metrics(self) -> list[ExecutionMetrics]:
         """Return per-replica flat metric records (vectorised, no per-row sims)."""
         n_alive = self.n_alive()
@@ -302,7 +281,6 @@ def simulate_gossip_batch(
     repetitions: int = 20,
     source: int = 0,
     seed: SeedLike = None,
-    membership: MembershipView | None = None,
     alive: np.ndarray | None = None,
     network: NetworkModel | None = None,
     churn: ChurnScheduleBatch | None = None,
@@ -333,8 +311,6 @@ def simulate_gossip_batch(
         supplied).
     source:
         The member that multicasts the message (never fails).
-    membership:
-        Membership view provider; defaults to a full view of the group.
     repetitions:
         Number of replicas ``R`` propagated simultaneously.
     seed:
@@ -373,9 +349,7 @@ def simulate_gossip_batch(
     repetitions = check_integer("repetitions", repetitions, minimum=1)
     source = check_integer("source", source, minimum=0, maximum=n - 1)
     rng = as_generator(seed)
-    view = membership if membership is not None else FullView(n)
-    if view.n != n:
-        raise ValueError(f"membership view is for n={view.n}, expected n={n}")
+    view = FullView(n)
     owned = transport is None
     if transport is None:
         transport = Transport(
@@ -467,7 +441,6 @@ def simulate_gossip_event_driven(
     *,
     source: int = 0,
     seed: SeedLike = None,
-    membership: MembershipView | None = None,
     network: NetworkModel | None = None,
     failure_pattern: FailurePattern | None = None,
     max_events: int | None = None,
@@ -484,9 +457,7 @@ def simulate_gossip_event_driven(
     q = check_probability("q", q)
     source = check_integer("source", source, minimum=0, maximum=n - 1)
     rng = as_generator(seed)
-    view = membership if membership is not None else FullView(n)
-    if view.n != n:
-        raise ValueError(f"membership view is for n={view.n}, expected n={n}")
+    view = FullView(n)
     net = network if network is not None else NetworkModel()
     dropped_before = net.messages_dropped
 

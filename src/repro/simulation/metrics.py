@@ -169,10 +169,6 @@ class SuccessCountResult:
     analytical_reliability: float
     analytical_pmf: np.ndarray
 
-    def mean_count(self) -> float:
-        """Return the empirical mean of ``X``."""
-        return float(self.counts.mean())
-
     def total_variation_distance(self) -> float:
         """Return the TV distance between the empirical and Binomial PMFs."""
         return 0.5 * float(np.abs(self.empirical_pmf - self.analytical_pmf).sum())

@@ -162,12 +162,6 @@ class NetworkModel:
     def __post_init__(self) -> None:
         self.loss_probability = check_probability("loss_probability", self.loss_probability)
 
-    def draw_latency(self, rng: np.random.Generator) -> float:
-        """Draw one delivery latency and book it into ``total_latency``."""
-        delay = float(self.latency(as_generator(rng)))
-        self.total_latency += delay
-        return delay
-
     def draw_latency_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` delivery latencies at once; book them into ``total_latency``.
 
@@ -288,10 +282,6 @@ class NetworkModel:
         self.messages_sent = 0
         self.messages_dropped = 0
         self.total_latency = 0.0
-
-    def reset_counters(self) -> None:
-        """Backwards-compatible alias of :meth:`reset`."""
-        self.reset()
 
 
 @dataclass

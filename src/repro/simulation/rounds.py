@@ -29,7 +29,6 @@ import numpy as np
 from repro.core.distributions import FanoutDistribution
 from repro.core.reliability import reliability as analytical_reliability
 from repro.simulation.gossip import simulate_gossip_batch
-from repro.simulation.membership import MembershipView
 from repro.simulation.metrics import SuccessCountResult, build_success_count_result
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_choice, check_integer, check_probability
@@ -50,7 +49,6 @@ def simulate_success_counts(
     max_redraws: int = 50,
     source: int = 0,
     seed: SeedLike = None,
-    membership: MembershipView | None = None,
 ) -> SuccessCountResult:
     """Estimate the distribution of the success count ``X`` (Figs. 6-7 protocol).
 
@@ -78,9 +76,10 @@ def simulate_success_counts(
         gossip taking off: an execution that dies out within a few hops is
         redrawn (up to ``max_redraws`` times).  The paper's Binomial reference
         ``B(t, R(q, P))`` uses the analytical reliability, which corresponds
-        to this conditional reading (see DESIGN.md); the Figs. 6-7 experiment
-        configs therefore enable it, while the plain default reports the
-        unconditional trials.
+        to this conditional reading (see ``conditional_on_spread`` of
+        :func:`repro.simulation.runner.estimate_reliability`); the Figs. 6-7
+        experiment configs therefore enable it, while the plain default
+        reports the unconditional trials.
     max_redraws:
         Retry budget per trial when ``condition_on_spread`` is True.
     """
@@ -104,7 +103,6 @@ def simulate_success_counts(
         repetitions=trials,
         source=source,
         seed=rng,
-        membership=membership,
     )
     alive = result.alive
     delivered = result.delivered
@@ -119,7 +117,6 @@ def simulate_success_counts(
                 repetitions=int(pending.sum()),
                 source=source,
                 seed=rng,
-                membership=membership,
             )
             rows = np.flatnonzero(pending)
             alive[rows] = retry.alive

@@ -32,7 +32,6 @@ import numpy as np
 from repro.core.distributions import FanoutDistribution, PoissonFanout
 from repro.core.reliability import reliability as analytical_reliability
 from repro.simulation.gossip import simulate_gossip_batch
-from repro.simulation.membership import MembershipView
 from repro.simulation.metrics import (
     ExecutionMetrics,
     ReliabilityEstimate,
@@ -105,7 +104,6 @@ def estimate_reliability(
     repetitions: int = 20,
     source: int = 0,
     seed: SeedLike = None,
-    membership: MembershipView | None = None,
     processes: int | None = 1,
     conditional_on_spread: bool = False,
 ) -> ReliabilityEstimate:
@@ -117,16 +115,14 @@ def estimate_reliability(
         Number of independent executions (paper: 20 per parameter pair).
     processes:
         Worker processes.  The default of 1 runs in the calling process;
-        values > 1 (or ``None`` for auto) run the chunks over a pool.  With
-        the default full membership view the repetitions are *always* split
-        into the same chunked replica batches, a function of ``n`` and
-        ``repetitions`` alone: up to ``max(8, 2**17 // n)`` replicas per
-        chunk, so 20 replicas are one batch at ``n <= 6553``, and the floor
-        of 8 keeps the layout, memory and numbers of ``n >= 16384``.
-        Each chunk is seeded by one spawned child seed, so at a fixed seed
-        every ``processes`` setting — ``1``, ``None``, or any worker count —
-        produces bit-identical numbers.  Partial membership views are not
-        shipped to workers and therefore force serial execution.
+        values > 1 (or ``None`` for auto) run the chunks over a pool.  The
+        repetitions are *always* split into the same chunked replica
+        batches, a function of ``n`` and ``repetitions`` alone: up to
+        ``max(8, 2**17 // n)`` replicas per chunk, so 20 replicas are one
+        batch at ``n <= 6553``, and the floor of 8 keeps the layout, memory
+        and numbers of ``n >= 16384``.  Each chunk is seeded by one spawned
+        child seed, so at a fixed seed every ``processes`` setting — ``1``,
+        ``None``, or any worker count — produces bit-identical numbers.
     conditional_on_spread:
         When True, average only over executions whose dissemination took off
         (delivered more than ``max(10, sqrt(n))`` members).  Single
@@ -140,29 +136,6 @@ def estimate_reliability(
     n = check_integer("n", n, minimum=2)
     q = check_probability("q", q)
     repetitions = check_integer("repetitions", repetitions, minimum=1)
-
-    def _summarize(executions: list[ExecutionMetrics]) -> ReliabilityEstimate:
-        return summarize_executions(
-            executions,
-            n=n,
-            q=q,
-            mean_fanout=distribution.mean(),
-            conditional_on_spread=conditional_on_spread,
-        )
-
-    if membership is not None:
-        # Partial views are not shipped to workers: run serially.  There is
-        # no parallel twin of this path, so no seed-layout split to guard.
-        result = simulate_gossip_batch(
-            n,
-            distribution,
-            q,
-            repetitions=repetitions,
-            source=source,
-            seed=seed,
-            membership=membership,
-        )
-        return _summarize(result.metrics())
 
     # Chunked replica batches: one task per chunk, not per replica.  Chunk
     # count and per-chunk seeds depend only on `n`, `repetitions` and `seed`
@@ -193,7 +166,13 @@ def estimate_reliability(
         for chunk in chunks
         for row in chunk
     ]
-    return _summarize(executions)
+    return summarize_executions(
+        executions,
+        n=n,
+        q=q,
+        mean_fanout=distribution.mean(),
+        conditional_on_spread=conditional_on_spread,
+    )
 
 
 @dataclass(frozen=True)

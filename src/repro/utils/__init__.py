@@ -1,21 +1,18 @@
 """Shared utilities: RNG management, validation, formatting, parallel helpers, numerics."""
 
-from repro.utils.rng import as_generator, spawn_generators, seed_sequence
+from repro.utils.rng import as_generator, seed_sequence
 from repro.utils.validation import (
     check_probability,
     check_positive,
     check_non_negative,
-    check_in_range,
     check_integer,
 )
 
 __all__ = [
     "as_generator",
-    "spawn_generators",
     "seed_sequence",
     "check_probability",
     "check_positive",
     "check_non_negative",
-    "check_in_range",
     "check_integer",
 ]

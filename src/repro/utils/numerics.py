@@ -3,7 +3,7 @@
 * :func:`brentq` is scipy's C ``brentq`` (``scipy.optimize.brentq``), the
   root finder behind Eq. 11 (:func:`repro.core.poisson_case.poisson_reliability`)
   and the self-consistency polish of Eq. 4
-  (:meth:`repro.core.generating.GossipGeneratingFunctions.self_consistent_u`).
+  (:func:`repro.core.percolation.self_consistent_u`).
 * :func:`ndtri` is the Cephes normal quantile (``scipy.special.ndtri``, which
   backs ``scipy.stats.norm.ppf``), the ``z`` of every Wilson certificate in
   :mod:`repro.analysis.dimensioning`.

@@ -9,7 +9,7 @@ independent replicas receive statistically independent streams.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TypeAlias
+from typing import TypeAlias
 
 import numpy as np
 
@@ -57,22 +57,6 @@ def seed_sequence(seed: SeedLike = None) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def spawn_generators(n: int, seed: SeedLike = None) -> list[np.random.Generator]:
-    """Spawn ``n`` independent generators derived from ``seed``.
-
-    Used by the Monte-Carlo runner so every replica gets an independent
-    stream regardless of execution order (serial or process-parallel).
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children by drawing entropy from the parent stream.
-        children = seed.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-        return [np.random.default_rng(int(c)) for c in children]
-    ss = seed_sequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
 def spawn_seeds(n: int, seed: SeedLike = None) -> list[int]:
     """Return ``n`` independent integer seeds derived from ``seed``.
 
@@ -85,18 +69,3 @@ def spawn_seeds(n: int, seed: SeedLike = None) -> list[int]:
         return [int(s) for s in seed.integers(0, 2**63 - 1, size=n, dtype=np.int64)]
     ss = seed_sequence(seed)
     return [int(child.generate_state(1, dtype=np.uint64)[0] % (2**63 - 1)) for child in ss.spawn(n)]
-
-
-def interleave_choice(rng: np.random.Generator, pools: Sequence[Iterable[int]]) -> list[int]:
-    """Pick one element uniformly at random from each pool.
-
-    Small helper used by membership views when building heterogeneous
-    neighbour sets; kept here so it can be unit-tested in isolation.
-    """
-    out: list[int] = []
-    for pool in pools:
-        pool = list(pool)
-        if not pool:
-            raise ValueError("cannot choose from an empty pool")
-        out.append(pool[int(rng.integers(0, len(pool)))])
-    return out

@@ -17,7 +17,7 @@ granularities:
   random-key top-``k`` (argpartition over uniform keys — a Gumbel-top-k with
   uniform instead of Gumbel noise, identical selection law).  This is the
   engine behind
-  :meth:`repro.simulation.membership.MembershipView.sample_targets_batch`
+  :meth:`repro.simulation.membership.FullView.sample_targets_batch`
   (the batched Monte-Carlo simulator).
 * :func:`sample_distinct_rows` — the same draw viewed as a ``(rows, kmax)``
   matrix plus a validity mask (a free reshape when all rows share one

@@ -49,11 +49,3 @@ def format_table(
     for row in rows:
         lines.append(format_row(row, widths, precision))
     return "\n".join(lines)
-
-
-def format_series(name: str, xs: Sequence[float], ys: Sequence[float], precision: int = 4) -> str:
-    """Render a named (x, y) series as two aligned columns under a title."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    body = format_table(["x", name], list(zip(xs, ys, strict=True)), precision=precision)
-    return body

@@ -53,22 +53,6 @@ def check_non_negative(name: str, value: object) -> float:
     return value
 
 
-def check_in_range(
-    name: str, value: object, lo: float, hi: float, *, inclusive: bool = True
-) -> float:
-    """Validate that ``value`` lies in ``[lo, hi]`` (or ``(lo, hi)``)."""
-    value = check_real(name, value)
-    if inclusive:
-        ok = lo <= value <= hi
-        bounds = f"[{lo}, {hi}]"
-    else:
-        ok = lo < value < hi
-        bounds = f"({lo}, {hi})"
-    if not ok:
-        raise ValueError(f"{name} must be in {bounds}, got {value!r}")
-    return value
-
-
 def check_integer(
     name: str, value: object, *, minimum: int | None = None, maximum: int | None = None
 ) -> int:
@@ -81,11 +65,6 @@ def check_integer(
     if maximum is not None and value > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
-
-
-def check_node_id(name: str, value: object, n: int) -> int:
-    """Validate that ``value`` is a node identifier in ``[0, n)``."""
-    return check_integer(name, value, minimum=0, maximum=n - 1)
 
 
 def check_choice(name: str, value: str, options: tuple[str, ...]) -> str:

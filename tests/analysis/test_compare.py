@@ -34,7 +34,7 @@ class TestCompareSeries:
         assert c.mean_absolute_error == 0.0
         assert c.max_absolute_error == 0.0
         assert c.rmse == 0.0
-        assert c.threshold_gap() == 0.0
+        assert c.simulated_threshold == c.analytical_threshold
 
     def test_error_metrics_values(self):
         c = compare_series([1, 2], [0.0, 1.0], [0.5, 0.5])
@@ -42,9 +42,10 @@ class TestCompareSeries:
         assert c.max_absolute_error == pytest.approx(0.5)
         assert c.rmse == pytest.approx(0.5)
 
-    def test_threshold_gap_nan_when_not_crossed(self):
+    def test_threshold_nan_when_not_crossed(self):
         c = compare_series([1, 2], [0.1, 0.2], [0.6, 0.9])
-        assert math.isnan(c.threshold_gap())
+        assert math.isnan(c.simulated_threshold)
+        assert not math.isnan(c.analytical_threshold)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
@@ -85,4 +86,4 @@ class TestCompareSweep:
         # For q=1 the 0.5-reliability level is crossed a bit above the
         # critical fanout of 1; analysis and simulation should agree closely.
         assert comparison.analytical_threshold == pytest.approx(2.0, abs=0.6)
-        assert comparison.threshold_gap() <= 1.0
+        assert abs(comparison.simulated_threshold - comparison.analytical_threshold) <= 1.0

@@ -354,11 +354,6 @@ class TestDimensionPareto:
         costs = [c.messages_per_member for c in result.frontier]
         assert result.best_cost.messages_per_member == min(costs)
 
-    def test_lexicographic_is_min_fanout_corner(self, result):
-        lex = result.lexicographic()
-        assert lex is not None
-        assert lex.fanout == min(c.fanout for c in result.frontier)
-
     def test_infeasible_when_capped(self):
         result = dimension_pareto(
             200, 0.5, 0.95, protocol_factory=_pbcast_factory,

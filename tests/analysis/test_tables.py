@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.compare import compare_sweep
-from repro.analysis.sweep import distribution_ablation
-from repro.analysis.tables import (
-    comparison_to_table,
-    distribution_sweep_to_table,
-    pmf_to_table,
-    sweep_to_table,
-)
-from repro.core.distributions import PoissonFanout
+from repro.analysis.tables import pmf_to_table, sweep_to_table
 from repro.simulation.metrics import build_success_count_result
 from repro.simulation.runner import reliability_sweep
 
@@ -25,12 +17,6 @@ class TestTableRendering:
         assert "mean_fanout" in lines[0]
         assert len(lines) == 2 + len(sweep.points)
 
-    def test_comparison_table(self):
-        sweep = reliability_sweep(100, fanouts=[2.0, 4.0], qs=[0.8], repetitions=2, seed=2)
-        table = comparison_to_table(compare_sweep(sweep))
-        assert "mae" in table.splitlines()[0]
-        assert len(table.splitlines()) == 3
-
     def test_pmf_table(self):
         counts = np.array([4, 5, 5, 3])
         result = build_success_count_result(counts, executions=5, analytical_reliability=0.9)
@@ -38,16 +24,3 @@ class TestTableRendering:
         lines = table.splitlines()
         assert len(lines) == 2 + 6  # header, separator, k = 0..5
         assert "binomial" in lines[0]
-
-    def test_distribution_sweep_table(self):
-        sweep = distribution_ablation(
-            100,
-            3.0,
-            qs=[0.8],
-            families={"poisson": PoissonFanout(3.0)},
-            repetitions=2,
-            seed=3,
-        )
-        table = distribution_sweep_to_table(sweep)
-        assert "family" in table.splitlines()[0]
-        assert "poisson" in table

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.distributions import (
-    BinomialFanout,
-    EmpiricalFanout,
     FixedFanout,
     GeometricFanout,
     MixtureFanout,
     PoissonFanout,
     UniformFanout,
-    ZipfFanout,
 )
 
 #: Deterministic seed used by any test that needs a single reproducible stream.
@@ -37,11 +34,8 @@ def all_distributions() -> list:
     return [
         PoissonFanout(3.0),
         FixedFanout(3),
-        BinomialFanout(10, 0.3),
         GeometricFanout.from_mean(3.0),
         UniformFanout(1, 5),
-        ZipfFanout(2.0, 12),
-        EmpiricalFanout([0.1, 0.2, 0.3, 0.25, 0.15]),
         MixtureFanout([FixedFanout(1), PoissonFanout(5.0)], [0.4, 0.6]),
     ]
 

@@ -10,14 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distributions import (
-    BinomialFanout,
-    EmpiricalFanout,
     FixedFanout,
     GeometricFanout,
     MixtureFanout,
     PoissonFanout,
     UniformFanout,
-    ZipfFanout,
 )
 
 
@@ -180,28 +177,6 @@ class TestFixedFanout:
             FixedFanout(2.5)
 
 
-class TestBinomialFanout:
-    def test_mean_and_variance(self):
-        dist = BinomialFanout(10, 0.3)
-        assert dist.mean() == pytest.approx(3.0)
-        assert dist.variance() == pytest.approx(2.1)
-
-    def test_pmf_matches_scipy_support(self):
-        dist = BinomialFanout(5, 0.5)
-        pmf = dist.pmf_array()
-        assert len(pmf) == 6
-        assert pmf[0] == pytest.approx(0.5**5)
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            BinomialFanout(5, 1.5)
-
-    def test_edge_probability_zero(self):
-        dist = BinomialFanout(5, 0.0)
-        assert dist.mean() == 0.0
-        assert dist.pmf(0) == pytest.approx(1.0)
-
-
 class TestGeometricFanout:
     def test_from_mean_round_trip(self):
         dist = GeometricFanout.from_mean(4.0)
@@ -290,60 +265,6 @@ class TestClosedFormGeneratingFunctions:
         )
 
 
-class TestZipfFanout:
-    def test_pmf_decreasing(self):
-        pmf = ZipfFanout(2.0, 20).pmf_array()
-        tail = pmf[1:]
-        assert np.all(np.diff(tail) <= 1e-15)
-
-    def test_support_excludes_zero(self):
-        dist = ZipfFanout(1.5, 10)
-        assert dist.pmf(0) == 0.0
-        samples = dist.sample(500, seed=5)
-        assert samples.min() >= 1
-
-    def test_truncation_respected(self):
-        samples = ZipfFanout(1.2, 7).sample(1000, seed=6)
-        assert samples.max() <= 7
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ZipfFanout(0.0, 10)
-        with pytest.raises(ValueError):
-            ZipfFanout(2.0, 0)
-
-
-class TestEmpiricalFanout:
-    def test_normalises_within_tolerance(self):
-        dist = EmpiricalFanout([0.25, 0.25, 0.5])
-        assert dist.pmf_array().sum() == pytest.approx(1.0)
-
-    def test_rejects_non_normalised(self):
-        with pytest.raises(ValueError):
-            EmpiricalFanout([0.5, 0.1])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            EmpiricalFanout([1.2, -0.2])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            EmpiricalFanout([])
-
-    def test_from_samples_matches_histogram(self):
-        dist = EmpiricalFanout.from_samples([0, 1, 1, 2, 2, 2, 2, 3])
-        assert dist.pmf(2) == pytest.approx(0.5)
-        assert dist.mean() == pytest.approx(np.mean([0, 1, 1, 2, 2, 2, 2, 3]))
-
-    def test_from_samples_rejects_negative(self):
-        with pytest.raises(ValueError):
-            EmpiricalFanout.from_samples([1, -2])
-
-    def test_pmf_beyond_support_is_zero(self):
-        dist = EmpiricalFanout([0.5, 0.5])
-        assert dist.pmf(10) == 0.0
-
-
 class TestMixtureFanout:
     def test_mean_is_weighted_average(self):
         mix = MixtureFanout([FixedFanout(2), FixedFanout(6)], [0.5, 0.5])
@@ -393,8 +314,8 @@ class TestPropertyBased:
     )
     @settings(max_examples=30, deadline=None)
     def test_empirical_pmf_normalisation(self, weights):
-        arr = np.asarray(weights)
-        dist = EmpiricalFanout(arr / arr.sum())
+        # A mixture of fixed fanouts is the distribution with PMF ``weights``.
+        dist = MixtureFanout([FixedFanout(k) for k in range(len(weights))], weights)
         assert dist.pmf_array().sum() == pytest.approx(1.0, abs=1e-9)
         assert dist.g0(1.0) == pytest.approx(1.0, abs=1e-9)
 

@@ -41,12 +41,6 @@ class TestAnalyticalInterface:
         sub = GossipModel.poisson(500, 2.0, 0.3)
         assert not sub.is_supercritical()
 
-    def test_nonfailed_members_count(self):
-        model = GossipModel.poisson(1000, 4.0, 0.9)
-        assert model.nonfailed_members() == 900
-        tiny = GossipModel.poisson(10, 4.0, 0.0)
-        assert tiny.nonfailed_members() == 1  # the source never fails
-
     def test_success_probability_and_min_executions(self):
         model = GossipModel.poisson(1000, 4.0, 0.9)
         p1 = model.reliability()
@@ -86,11 +80,3 @@ class TestSimulationInterface:
         assert spread.size >= 7
         assert spread.mean() == pytest.approx(model.reliability(), abs=0.05)
         assert estimate.repetitions == 10
-
-    def test_simulate_success_counts_shape(self):
-        model = GossipModel.poisson(300, 4.0, 0.9)
-        result = model.simulate_success(executions=10, simulations=20, seed=2)
-        assert result.executions == 10
-        assert result.simulations == 20
-        assert result.counts.shape == (20,)
-        assert result.counts.max() <= 10

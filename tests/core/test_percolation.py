@@ -10,22 +10,18 @@ from hypothesis import strategies as st
 
 from repro.analysis.sweep import default_distribution_families
 from repro.core.distributions import (
-    EmpiricalFanout,
     FixedFanout,
     GeometricFanout,
+    MixtureFanout,
     PoissonFanout,
     UniformFanout,
-    ZipfFanout,
 )
 from repro.core.percolation import (
-    critical_fanout_scale,
-    critical_mean_fanout,
     critical_ratio,
     giant_component_size,
-    giant_component_size_all_nodes,
     mean_component_size,
     percolation_analysis,
-    spanning_fanout_condition,
+    self_consistent_u,
 )
 
 
@@ -42,12 +38,8 @@ class TestCriticalRatio:
     def test_degenerate_distributions_have_infinite_threshold(self):
         assert critical_ratio(FixedFanout(0)) == math.inf
         assert critical_ratio(FixedFanout(1)) == math.inf
-        assert critical_ratio(EmpiricalFanout([0.5, 0.5])) == math.inf
-
-    def test_critical_mean_fanout_inverse(self):
-        assert critical_mean_fanout(0.5) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            critical_mean_fanout(0.0)
+        zero_or_one = MixtureFanout([FixedFanout(0), FixedFanout(1)], [0.5, 0.5])
+        assert critical_ratio(zero_or_one) == math.inf
 
     def test_heavier_tail_lowers_threshold_at_equal_mean(self):
         # At equal mean, a heavier-tailed fanout has a larger excess degree
@@ -102,13 +94,6 @@ class TestGiantComponentSize:
         sizes = [giant_component_size(PoissonFanout(z), 0.8) for z in (1.5, 2.0, 3.0, 5.0, 8.0)]
         assert all(b >= a - 1e-9 for a, b in zip(sizes, sizes[1:], strict=False))
 
-    def test_all_nodes_normalisation(self):
-        dist = PoissonFanout(4.0)
-        q = 0.75
-        assert giant_component_size_all_nodes(dist, q) == pytest.approx(
-            q * giant_component_size(dist, q)
-        )
-
     def test_zero_mean_distribution(self):
         assert giant_component_size(FixedFanout(0), 0.9) == 0.0
 
@@ -125,7 +110,6 @@ class TestGiantComponentSize:
         """The solver stops just short of u = 1 there; Eq. 3 decides, as ``supercritical`` does."""
         assert q <= critical_ratio(dist)
         assert giant_component_size(dist, q) == 0.0
-        assert giant_component_size_all_nodes(dist, q) == 0.0
         result = percolation_analysis(dist, q)
         assert not result.supercritical
         assert result.giant_component_size == result.giant_component_size_all == 0.0
@@ -149,15 +133,6 @@ class TestGiantComponentSize:
     @settings(max_examples=60, deadline=None)
     def test_size_in_unit_interval(self, z, q):
         size = giant_component_size(PoissonFanout(z), q)
-        assert 0.0 <= size <= 1.0
-
-    @given(
-        alpha=st.floats(min_value=1.2, max_value=3.5),
-        q=st.floats(min_value=0.1, max_value=1.0),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_zipf_size_in_unit_interval(self, alpha, q):
-        size = giant_component_size(ZipfFanout(alpha, 30), q)
         assert 0.0 <= size <= 1.0
 
 
@@ -230,17 +205,53 @@ class TestEq4Exact:
         assert result.giant_component_size == size
 
 
-class TestSpanningCondition:
-    def test_condition_matches_threshold(self):
-        dist = PoissonFanout(4.0)
-        assert spanning_fanout_condition(dist, 0.3)
-        assert not spanning_fanout_condition(dist, 0.2)
+class TestSelfConsistentU:
+    def test_subcritical_returns_one(self):
+        # z*q = 0.5 < 1: no giant component, u = 1.
+        assert self_consistent_u(PoissonFanout(1.0), 0.5) == pytest.approx(1.0, abs=1e-6)
 
-    def test_scale_factor(self):
-        dist = PoissonFanout(4.0)
-        assert critical_fanout_scale(dist, 0.5) == pytest.approx(2.0)
-        assert critical_fanout_scale(dist, 0.25) == pytest.approx(1.0)
+    def test_supercritical_u_below_one(self):
+        u = self_consistent_u(PoissonFanout(4.0), 0.9)
+        assert 0.0 <= u < 1.0
 
-    def test_zero_mean(self):
-        assert not spanning_fanout_condition(FixedFanout(0), 0.9)
-        assert critical_fanout_scale(FixedFanout(0), 0.9) == 0.0
+    def test_u_satisfies_fixed_point_equation(self):
+        dist = PoissonFanout(3.0)
+        q = 0.8
+        u = self_consistent_u(dist, q)
+        assert u == pytest.approx(1.0 - q + q * dist.g1(u), abs=1e-8)
+
+    def test_q_zero_returns_one(self):
+        assert self_consistent_u(PoissonFanout(3.0), 0.0) == 1.0
+
+    def test_invalid_q_rejected(self):
+        with pytest.raises(ValueError):
+            self_consistent_u(PoissonFanout(2.0), 1.5)
+
+    def test_fixed_fanout_u(self):
+        dist = FixedFanout(3)
+        q = 0.9
+        u = self_consistent_u(dist, q)
+        assert u == pytest.approx(1.0 - q + q * dist.g1(u), abs=1e-8)
+        assert u < 1.0
+
+    @given(
+        z=st.floats(min_value=0.2, max_value=10.0),
+        q=st.floats(min_value=0.05, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_u_always_in_unit_interval_and_consistent(self, z, q):
+        dist = PoissonFanout(z)
+        u = self_consistent_u(dist, q)
+        assert 0.0 <= u <= 1.0
+        assert u == pytest.approx(1.0 - q + q * dist.g1(u), abs=1e-6)
+
+    @given(
+        q=st.floats(min_value=0.05, max_value=1.0),
+        prob=st.floats(min_value=0.1, max_value=0.9),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_geometric_u_consistent(self, q, prob):
+        dist = GeometricFanout(prob)
+        u = self_consistent_u(dist, q)
+        assert 0.0 <= u <= 1.0
+        assert u == pytest.approx(1.0 - q + q * float(dist.g1(u)), abs=1e-5)

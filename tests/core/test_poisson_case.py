@@ -10,26 +10,17 @@ from hypothesis import strategies as st
 
 from repro.core.poisson_case import (
     mean_fanout_for_reliability,
-    nonfailed_ratio_for_reliability,
     poisson_critical_fanout,
-    poisson_critical_ratio,
     poisson_reliability,
-    poisson_reliability_curve,
 )
 
 
 class TestCriticalPoints:
-    def test_critical_ratio(self):
-        assert poisson_critical_ratio(4.0) == pytest.approx(0.25)
-        assert poisson_critical_ratio(2.0) == pytest.approx(0.5)
-
     def test_critical_fanout(self):
         assert poisson_critical_fanout(0.5) == pytest.approx(2.0)
         assert poisson_critical_fanout(1.0) == pytest.approx(1.0)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            poisson_critical_ratio(0.0)
         with pytest.raises(ValueError):
             poisson_critical_fanout(0.0)
 
@@ -68,12 +59,6 @@ class TestPoissonReliability:
         qs = [0.3, 0.5, 0.7, 0.9, 1.0]
         values = [poisson_reliability(3.0, q) for q in qs]
         assert all(b >= a for a, b in zip(values, values[1:], strict=False))
-
-    def test_curve_matches_pointwise(self):
-        zs = [0.5, 1.0, 2.0, 4.0]
-        curve = poisson_reliability_curve(zs, 0.9)
-        for z, s in zip(zs, curve, strict=True):
-            assert s == pytest.approx(poisson_reliability(z, 0.9) if z > 0 else 0.0)
 
     def test_invalid_fanout(self):
         with pytest.raises(ValueError):
@@ -122,18 +107,3 @@ class TestEquation12:
             mean_fanout_for_reliability(1.0, 0.5)
         with pytest.raises(ValueError):
             mean_fanout_for_reliability(0.5, 0.0)
-
-
-class TestRatioForReliability:
-    def test_inverse_relationship(self):
-        q = nonfailed_ratio_for_reliability(0.9, 5.0)
-        assert poisson_reliability(5.0, q) == pytest.approx(0.9, abs=1e-9)
-
-    def test_unreachable_targets_exceed_one(self):
-        # A tiny fanout cannot reach high reliability even with no failures.
-        assert nonfailed_ratio_for_reliability(0.99, 1.5) > 1.0
-
-    def test_consistent_with_mean_fanout_inverse(self):
-        s, q = 0.8, 0.7
-        z = mean_fanout_for_reliability(s, q)
-        assert nonfailed_ratio_for_reliability(s, z) == pytest.approx(q, rel=1e-9)

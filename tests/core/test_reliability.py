@@ -1,18 +1,12 @@
-"""Unit tests for the reliability API (R(q, P) and design inverses)."""
+"""Unit tests for the reliability API (R(q, P) and the tolerable failure ratio)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.distributions import FixedFanout, GeometricFanout, PoissonFanout
+from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.core.poisson_case import poisson_reliability
-from repro.core.reliability import (
-    ReliabilityModel,
-    reliability,
-    reliability_curve,
-    required_fanout_poisson,
-)
+from repro.core.reliability import ReliabilityModel, reliability
 
 
 class TestReliabilityFunction:
@@ -33,39 +27,6 @@ class TestReliabilityFunction:
             reliability(PoissonFanout(2.0), -0.1)
 
 
-class TestReliabilityCurve:
-    def test_default_poisson_curve(self):
-        fanouts = [0.5, 1.0, 2.0, 4.0]
-        curve = reliability_curve(fanouts, 0.9)
-        assert curve.shape == (4,)
-        assert curve[0] == 0.0  # below threshold
-        assert curve[-1] == pytest.approx(poisson_reliability(4.0, 0.9))
-
-    def test_non_positive_fanouts_yield_zero(self):
-        curve = reliability_curve([0.0, -1.0, 3.0], 0.8)
-        assert curve[0] == 0.0 and curve[1] == 0.0 and curve[2] > 0.0
-
-    def test_alternative_distribution_factory(self):
-        curve = reliability_curve([3.0], 0.9, distribution_factory=GeometricFanout.from_mean)
-        assert 0.0 < curve[0] < 1.0
-        assert curve[0] != pytest.approx(poisson_reliability(3.0, 0.9), abs=1e-3)
-
-    def test_curve_is_monotone(self):
-        curve = reliability_curve(np.arange(1.0, 8.0, 0.5), 0.7)
-        assert np.all(np.diff(curve) >= -1e-9)
-
-
-class TestRequiredFanout:
-    def test_matches_eq12(self):
-        assert required_fanout_poisson(0.9, 0.8) == pytest.approx(
-            -np.log(0.1) / (0.8 * 0.9), rel=1e-9
-        )
-
-    def test_round_trip(self):
-        z = required_fanout_poisson(0.95, 0.6)
-        assert poisson_reliability(z, 0.6) == pytest.approx(0.95, abs=1e-9)
-
-
 class TestReliabilityModel:
     def test_critical_ratio_delegates(self):
         model = ReliabilityModel(PoissonFanout(4.0))
@@ -76,13 +37,6 @@ class TestReliabilityModel:
         first = model.reliability(0.9)
         second = model.reliability(0.9)
         assert first == second == pytest.approx(poisson_reliability(4.0, 0.9))
-
-    def test_profile_matches_pointwise(self):
-        model = ReliabilityModel(PoissonFanout(3.0))
-        qs = [0.3, 0.5, 0.9]
-        profile = model.reliability_profile(qs)
-        for q, value in zip(qs, profile, strict=True):
-            assert value == pytest.approx(model.reliability(q))
 
     def test_analysis_record(self):
         model = ReliabilityModel(PoissonFanout(5.0))

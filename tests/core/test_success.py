@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.success import (
-    SuccessModel,
     min_executions,
     success_count_cdf,
     success_count_pmf,
@@ -122,24 +121,3 @@ class TestSuccessCountDistribution:
         assert pmf0[0] == pytest.approx(1.0)
         pmf1 = success_count_pmf(5, 1.0)
         assert pmf1[5] == pytest.approx(1.0)
-
-
-class TestSuccessModel:
-    def test_paper_workflow(self):
-        model = SuccessModel(per_execution_reliability=0.967)
-        assert model.min_executions(0.999) == 3
-        assert model.success_probability(3) >= 0.999
-        assert model.expected_successes(20) == pytest.approx(20 * 0.967)
-
-    def test_pmf_delegation(self):
-        model = SuccessModel(per_execution_reliability=0.5)
-        np.testing.assert_allclose(model.success_count_pmf(4), success_count_pmf(4, 0.5))
-
-    def test_invalid_reliability_rejected(self):
-        with pytest.raises(ValueError):
-            SuccessModel(per_execution_reliability=1.2)
-
-    def test_frozen(self):
-        model = SuccessModel(per_execution_reliability=0.9)
-        with pytest.raises(AttributeError):
-            model.per_execution_reliability = 0.5  # type: ignore[misc]

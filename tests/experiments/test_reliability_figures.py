@@ -79,7 +79,6 @@ class TestScaledRun:
 
     def test_tables_render(self, small_result):
         assert len(small_result.to_table().splitlines()) == 2 + 15
-        assert "mae" in small_result.comparison_table().splitlines()[0]
 
     def test_simulation_tracks_analysis(self, small_result):
         for comparison in small_result.comparisons.values():

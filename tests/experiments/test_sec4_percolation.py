@@ -57,10 +57,12 @@ class TestRun:
     def test_grid_is_complete(self, result):
         assert len(result.points) == 2 * 3
         assert len(result.critical) == 2
-        assert len(result.points_for_n(4000)) == 3
+        large = [p for p in result.points if p.n == 4000]
+        small = [p for p in result.points if p.n == 1500]
+        assert len(large) == 3
         # replicas_large applies above the threshold
-        assert {p.replicas for p in result.points_for_n(4000)} == {2}
-        assert {p.replicas for p in result.points_for_n(1500)} == {4}
+        assert {p.replicas for p in large} == {2}
+        assert {p.replicas for p in small} == {4}
 
     def test_supercritical_points_match_eq4(self, result):
         for p in result.points:

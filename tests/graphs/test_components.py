@@ -26,8 +26,8 @@ class TestUnionFind:
     def test_union_merges(self):
         uf = UnionFind(4)
         assert uf.union(0, 1)
-        assert uf.connected(0, 1)
-        assert not uf.connected(0, 2)
+        assert uf.find(0) == uf.find(1)
+        assert uf.find(0) != uf.find(2)
         assert uf.n_components == 3
 
     def test_union_idempotent(self):
@@ -35,13 +35,6 @@ class TestUnionFind:
         assert uf.union(0, 1)
         assert not uf.union(1, 0)
         assert uf.n_components == 2
-
-    def test_component_size(self):
-        uf = UnionFind(6)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.component_size(0) == 3
-        assert uf.component_size(5) == 1
 
     def test_components_partition(self):
         uf = UnionFind(5)

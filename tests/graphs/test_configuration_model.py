@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.graphs.configuration_model import (
     configuration_model_edges,
     directed_configuration_edges,
-    to_networkx,
 )
 
 
@@ -105,22 +104,3 @@ class TestUndirectedConfiguration:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             configuration_model_edges(np.array([2, -1]))
-
-
-class TestToNetworkx:
-    def test_directed_conversion(self):
-        edges = np.array([[0, 1], [1, 2]])
-        graph = to_networkx(4, edges, directed=True)
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 2
-        assert graph.has_edge(0, 1) and not graph.has_edge(1, 0)
-
-    def test_undirected_conversion(self):
-        edges = np.array([[0, 1]])
-        graph = to_networkx(3, edges, directed=False)
-        assert graph.has_edge(1, 0)
-
-    def test_empty_graph(self):
-        graph = to_networkx(5, np.empty((0, 2), dtype=np.int64))
-        assert graph.number_of_nodes() == 5
-        assert graph.number_of_edges() == 0

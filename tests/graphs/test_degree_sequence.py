@@ -1,14 +1,12 @@
-"""Unit tests for degree-sequence sampling and moments."""
+"""Unit tests for degree-sequence sampling."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.distributions import FixedFanout, PoissonFanout
-from repro.graphs.degree_sequence import empirical_moments, is_graphical, sample_degree_sequence
+from repro.graphs.degree_sequence import sample_degree_sequence
 
 
 class TestSampling:
@@ -32,64 +30,6 @@ class TestSampling:
     def test_mean_close_to_distribution_mean(self):
         degrees = sample_degree_sequence(PoissonFanout(4.0), 20_000, seed=4)
         assert degrees.mean() == pytest.approx(4.0, abs=0.1)
-
-
-class TestMoments:
-    def test_fixed_sequence(self):
-        moments = empirical_moments(np.array([2, 2, 2, 2]))
-        assert moments.mean == pytest.approx(2.0)
-        assert moments.second_factorial == pytest.approx(2.0)
-        assert moments.mean_excess == pytest.approx(1.0)
-        assert moments.variance == pytest.approx(0.0)
-
-    def test_empty_sequence(self):
-        moments = empirical_moments(np.array([]))
-        assert moments.mean == 0.0
-        assert moments.mean_excess == 0.0
-
-    def test_zero_mean_sequence(self):
-        moments = empirical_moments(np.zeros(10))
-        assert moments.mean == 0.0
-        assert moments.mean_excess == 0.0
-
-    def test_matches_poisson_expectations(self):
-        degrees = sample_degree_sequence(PoissonFanout(4.0), 50_000, seed=5)
-        moments = empirical_moments(degrees)
-        # For Poisson(z): E[k(k-1)] = z^2, so mean excess ~= z.
-        assert moments.mean == pytest.approx(4.0, abs=0.1)
-        assert moments.mean_excess == pytest.approx(4.0, abs=0.15)
-
-
-class TestGraphicality:
-    def test_simple_graphical_sequences(self):
-        assert is_graphical([1, 1])
-        assert is_graphical([2, 2, 2])
-        assert is_graphical([3, 3, 3, 3])
-
-    def test_odd_sum_not_graphical(self):
-        assert not is_graphical([1, 1, 1])
-
-    def test_degree_exceeding_n_minus_one(self):
-        assert not is_graphical([3, 1, 1, 1][:3])  # degree 3 with only 3 nodes
-        assert not is_graphical([5, 1, 1, 1])
-
-    def test_erdos_gallai_violation(self):
-        # Sum even, max degree < n, but not realisable: [3, 3, 1, 1].
-        assert not is_graphical([3, 3, 1, 1])
-
-    def test_empty_and_zero_sequences(self):
-        assert is_graphical([])
-        assert is_graphical([0, 0, 0])
-
-    def test_negative_degree_rejected(self):
-        assert not is_graphical([2, -1, 1])
-
-    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=12))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_networkx(self, degrees):
-        import networkx as nx
-
-        assert is_graphical(degrees) == nx.is_graphical(degrees)
 
 
 class TestFixedFanoutSampling:

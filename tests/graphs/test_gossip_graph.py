@@ -78,8 +78,8 @@ class TestQueries:
 
     def test_out_degree_of_alive_matches_fanouts(self):
         g = build_gossip_graph(300, FixedFanout(3), 0.8, seed=11)
-        # Every alive member has out-degree exactly 3 (n is large enough).
-        assert np.all(g.out_degree_of_alive() == 3)
+        out_degree = np.bincount(g.edges[:, 0], minlength=g.n)
+        assert np.all(out_degree[g.alive] == 3)
 
     def test_giant_component_fraction_bounds(self):
         g = build_gossip_graph(500, PoissonFanout(3.0), 0.7, seed=12)

@@ -1,30 +1,12 @@
-"""Unit tests for empirical graph metrics."""
+"""Unit tests for the empirical giant-component estimate."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.core.poisson_case import poisson_reliability
-from repro.graphs.metrics import (
-    component_size_distribution,
-    degree_statistics,
-    empirical_giant_component,
-)
-
-
-class TestDegreeStatistics:
-    def test_wrapper_matches_moments(self):
-        stats = degree_statistics(np.array([1, 2, 3, 4]))
-        assert stats.mean == pytest.approx(2.5)
-
-
-class TestComponentSizeDistribution:
-    def test_returns_descending_sizes(self):
-        edges = np.array([[0, 1], [2, 3], [3, 4]])
-        sizes = component_size_distribution(6, edges)
-        assert list(sizes) == [3, 2, 1]
+from repro.graphs.metrics import empirical_giant_component
 
 
 class TestEmpiricalGiantComponent:

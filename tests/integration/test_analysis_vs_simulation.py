@@ -44,7 +44,7 @@ class TestReliabilityAgreement:
         ids=["fixed", "geometric"],
     )
     def test_non_poisson_conditional_reach_is_governed_by_in_degree(self, dist):
-        # A reproduction finding documented in DESIGN.md/EXPERIMENTS.md: the
+        # A reproduction finding (examples/fanout_distribution_study.py): the
         # algorithm's targets are chosen uniformly, so in-degrees are Poisson
         # regardless of the fanout distribution.  Given that the gossip took
         # off, the reached fraction therefore follows the Poisson fixed point
@@ -134,7 +134,7 @@ class TestSuccessOfGossiping:
             600, PoissonFanout(6.0), 0.6, executions=20, simulations=50, seed=14
         )
         assert a.analytical_reliability == pytest.approx(b.analytical_reliability)
-        assert a.mean_count() == pytest.approx(b.mean_count(), abs=2.0)
+        assert a.counts.mean() == pytest.approx(b.counts.mean(), abs=2.0)
 
     def test_minimum_executions_sufficient_in_simulation(self):
         # Eq. 6 says 2-3 executions of the f=4, q=0.9 configuration give

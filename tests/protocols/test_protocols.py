@@ -132,7 +132,8 @@ class TestFixedFanoutGossip:
     def test_reliability_close_to_poisson_in_degree_prediction(self):
         # Targets are chosen uniformly, so in-degrees are Poisson(f·q) and the
         # reached fraction follows the Poisson fixed point at the same mean
-        # fanout even though the out-degree is constant (see DESIGN.md).
+        # fanout even though the out-degree is constant (see
+        # examples/fanout_distribution_study.py).
         from repro.core.poisson_case import poisson_reliability
 
         values = [FixedFanoutGossip(4).run(1500, 0.9, seed=s).reliability() for s in range(5)]

@@ -36,14 +36,10 @@ from repro.protocols import (
 from repro.protocols.base import Protocol, ProtocolResult
 from repro.simulation.failures import FailureModel, FailurePattern, UniformCrashModel
 from repro.simulation.gossip import GossipExecution
-from repro.simulation.membership import (
-    FullView,
-    MembershipView,
-    UniformPartialView,
-    sample_distinct,
-)
+from repro.simulation.membership import FullView
 from repro.simulation.network import NetworkModel
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.sampling import sample_distinct
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = ["run", "simulate_gossip_once"]
@@ -113,7 +109,6 @@ def simulate_gossip_once(
     *,
     source: int = 0,
     seed: SeedLike = None,
-    membership: MembershipView | None = None,
     failure_pattern: FailurePattern | None = None,
     network: NetworkModel | None = None,
 ) -> GossipExecution:
@@ -132,8 +127,6 @@ def simulate_gossip_once(
         The member that multicasts the message (never fails).
     seed:
         Seed or generator for all randomness of this execution.
-    membership:
-        Membership view provider; defaults to a full view of the group.
     failure_pattern:
         Pre-drawn failure pattern (used by repeated-execution experiments
         that want to hold failures fixed across executions).
@@ -149,9 +142,7 @@ def simulate_gossip_once(
     q = check_probability("q", q)
     source = check_integer("source", source, minimum=0, maximum=n - 1)
     rng = as_generator(seed)
-    view = membership if membership is not None else FullView(n)
-    if view.n != n:
-        raise ValueError(f"membership view is for n={view.n}, expected n={n}")
+    view = FullView(n)
 
     if failure_pattern is None:
         failure_pattern = UniformCrashModel(q).draw(n, rng, source=source)
@@ -332,7 +323,10 @@ def _lpbcast(
     rng: np.random.Generator,
     network: NetworkModel | None = None,
 ) -> DisseminateResult:
-    view = UniformPartialView(n, min(protocol.view_size, n - 1), seed=rng)
+    # Member i's partial view: a sorted uniform size-subset of the others,
+    # drawn once per execution in member order.
+    size = min(protocol.view_size, n - 1)
+    views = [np.sort(sample_distinct(rng, n, size, exclude=member)) for member in range(n)]
     has_message = np.zeros(n, dtype=bool)
     has_message[source] = True
     messages = 0
@@ -344,7 +338,7 @@ def _lpbcast(
             break
         newly: list[int] = []
         for member in holders:
-            member_view = view.view_of(int(member))
+            member_view = views[member]
             if member_view.size == 0:
                 continue
             k = min(protocol.fanout, member_view.size)

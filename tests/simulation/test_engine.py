@@ -37,20 +37,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sched.schedule(-1.0, lambda s, d: None)
 
-    def test_schedule_at_absolute_time(self):
-        sched = EventScheduler()
-        seen = []
-        sched.schedule_at(5.0, lambda s, d: seen.append(s.now))
-        sched.run()
-        assert seen == [5.0]
-
-    def test_schedule_at_past_rejected(self):
-        sched = EventScheduler()
-        sched.schedule(1.0, lambda s, d: None)
-        sched.run()
-        with pytest.raises(ValueError):
-            sched.schedule_at(0.5, lambda s, d: None)
-
     def test_events_can_schedule_events(self):
         sched = EventScheduler()
         seen = []

@@ -33,7 +33,6 @@ class TestUniformCrashModel:
     def test_q_one_all_alive(self, rng):
         pattern = UniformCrashModel(q=1.0).draw(100, rng)
         assert pattern.n_alive() == 100
-        assert pattern.failed_members().size == 0
 
     def test_timing_assigned_to_every_member(self, rng):
         pattern = UniformCrashModel(q=0.5, after_receive_fraction=1.0).draw(30, rng)
@@ -55,12 +54,6 @@ class TestUniformCrashModel:
             model.draw(0, rng)
         with pytest.raises(ValueError):
             model.draw(10, rng, source=10)
-
-    def test_failed_members_listing(self, rng):
-        pattern = UniformCrashModel(q=0.3).draw(200, rng)
-        failed = pattern.failed_members()
-        assert np.all(~pattern.alive[failed])
-        assert failed.size + pattern.n_alive() == 200
 
 
 class TestDrawBatch:
@@ -94,17 +87,9 @@ class TestDrawBatch:
         np.testing.assert_array_equal(batch.alive, np.tile(expected, (5, 1)))
         assert not np.any(batch.after_receive)
 
-    def test_batch_pattern_round_trip(self, rng):
-        batch = UniformCrashModel(q=0.5, after_receive_fraction=1.0).draw_batch(
-            50, 4, rng
-        )
-        pattern = batch.pattern(2)
-        assert isinstance(pattern, FailurePattern)
-        np.testing.assert_array_equal(pattern.alive, batch.alive[2])
-        failed = ~batch.alive[2]
-        assert all(t is CrashTiming.AFTER_RECEIVE for t in pattern.timing[failed])
-        with pytest.raises(ValueError):
-            batch.pattern(4)
+    def test_after_receive_fraction_one_marks_every_failure(self, rng):
+        batch = UniformCrashModel(q=0.5, after_receive_fraction=1.0).draw_batch(50, 4, rng)
+        np.testing.assert_array_equal(batch.after_receive, ~batch.alive)
 
     def test_default_draw_batch_stacks_scalar_draws(self, rng):
         # A custom model without an override goes through the generic path.
@@ -203,7 +188,7 @@ class TestTargetedCrashModel:
     def test_exact_members_fail(self, rng):
         model = TargetedCrashModel(failed=(2, 5, 7))
         pattern = model.draw(10, rng)
-        assert set(pattern.failed_members().tolist()) == {2, 5, 7}
+        assert set(np.flatnonzero(~pattern.alive).tolist()) == {2, 5, 7}
 
     def test_source_protected(self, rng):
         model = TargetedCrashModel(failed=(0, 1))

@@ -16,7 +16,6 @@ from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.core.poisson_case import poisson_reliability
 from repro.simulation.failures import FailurePattern, CrashTiming
 from repro.simulation.gossip import simulate_gossip_event_driven
-from repro.simulation.membership import UniformPartialView
 from repro.simulation.network import NetworkModel, latency_uniform
 from tests.reference.scalar_protocols import simulate_gossip_once
 
@@ -72,16 +71,6 @@ class TestFastSimulator:
         e = simulate_gossip_once(200, FixedFanout(3), 1.0, seed=8)
         assert e.messages_sent <= 3 * e.n_delivered()
 
-    def test_partial_view_membership(self):
-        view = UniformPartialView(300, 10, seed=9)
-        e = simulate_gossip_once(300, PoissonFanout(4.0), 0.9, seed=10, membership=view)
-        assert 0.0 <= e.reliability() <= 1.0
-
-    def test_membership_size_mismatch_rejected(self):
-        view = UniformPartialView(100, 5, seed=11)
-        with pytest.raises(ValueError):
-            simulate_gossip_once(200, PoissonFanout(3.0), 0.9, membership=view)
-
     def test_reproducibility(self):
         a = simulate_gossip_once(200, PoissonFanout(3.0), 0.8, seed=12)
         b = simulate_gossip_once(200, PoissonFanout(3.0), 0.8, seed=12)
@@ -95,13 +84,6 @@ class TestFastSimulator:
             simulate_gossip_once(10, PoissonFanout(2.0), 1.2)
         with pytest.raises(ValueError):
             simulate_gossip_once(10, PoissonFanout(2.0), 0.5, source=10)
-
-    def test_missed_members_listing(self):
-        e = simulate_gossip_once(500, PoissonFanout(2.0), 0.7, seed=13)
-        missed = e.missed_members()
-        assert np.all(e.alive[missed])
-        assert not np.any(e.delivered[missed])
-        assert missed.size + e.n_delivered() == e.n_alive()
 
     def test_metrics_record_consistency(self):
         e = simulate_gossip_once(300, PoissonFanout(3.0), 0.8, seed=14)

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.core.poisson_case import poisson_reliability
 from repro.simulation.churn import PoissonChurnModel
-from repro.simulation.gossip import BatchGossipResult, simulate_gossip_batch
-from repro.simulation.membership import FullView, UniformPartialView
+from repro.simulation.gossip import BatchGossipResult, GossipExecution, simulate_gossip_batch
 from repro.simulation.network import NetworkModel, latency_exponential
 from tests.helpers.statistical import (
     assert_reliability_within_band,
@@ -66,12 +65,20 @@ class TestBatchBasics:
         masks = {tuple(row.tolist()) for row in result.alive}
         assert len(masks) > 1
 
-    def test_execution_and_metrics_round_trip(self):
+    def test_metrics_match_the_scalar_record(self):
         result = simulate_gossip_batch(150, PoissonFanout(4.0), 0.9, repetitions=5, seed=3)
         metrics = result.metrics()
         assert len(metrics) == 5
         for r in range(5):
-            execution = result.execution(r)
+            execution = GossipExecution(
+                n=result.n,
+                source=result.source,
+                alive=result.alive[r],
+                delivered=result.delivered[r],
+                rounds=int(result.rounds[r]),
+                messages_sent=int(result.messages_sent[r]),
+                duplicates=int(result.duplicates[r]),
+            )
             assert execution.metrics() == metrics[r]
 
     def test_alive_override(self):
@@ -91,10 +98,6 @@ class TestBatchBasics:
         with pytest.raises(ValueError):
             simulate_gossip_batch(
                 100, PoissonFanout(3.0), 0.5, repetitions=3, alive=np.ones((2, 100), bool)
-            )
-        with pytest.raises(ValueError):
-            simulate_gossip_batch(
-                100, PoissonFanout(3.0), 0.5, repetitions=3, membership=FullView(50)
             )
         with pytest.raises(ValueError):
             simulate_gossip_batch(100, PoissonFanout(3.0), 1.5, repetitions=3)
@@ -140,26 +143,6 @@ class TestEdgeCases:
         result = simulate_gossip_batch(120, FixedFanout(119), 1.0, repetitions=4, seed=8)
         assert np.all(result.reliability() == 1.0)
         assert np.all(result.rounds == 2)
-
-    def test_partial_view_supported(self):
-        view = UniformPartialView(250, 8, seed=9)
-        result = simulate_gossip_batch(
-            250, PoissonFanout(4.0), 0.9, repetitions=8, seed=10, membership=view
-        )
-        assert np.all((result.reliability() >= 0.0) & (result.reliability() <= 1.0))
-
-    def test_partial_view_degrades_reliability(self):
-        # A tiny view cannot beat the full-view dissemination on average.
-        full = simulate_gossip_batch(300, PoissonFanout(5.0), 1.0, repetitions=30, seed=11)
-        tiny = simulate_gossip_batch(
-            300,
-            PoissonFanout(5.0),
-            1.0,
-            repetitions=30,
-            seed=11,
-            membership=UniformPartialView(300, 2, seed=12),
-        )
-        assert tiny.reliability().mean() <= full.reliability().mean() + 0.05
 
 
 _NETWORKS = {
@@ -254,17 +237,6 @@ class TestDistributionEquivalence:
         dist = FixedFanout(4)
         scalar = _scalar_samples(500, dist, 0.8, 100, seed=300)
         batch = simulate_gossip_batch(500, dist, 0.8, repetitions=100, seed=400)
-        assert_same_distribution(
-            [e.n_delivered() for e in scalar], batch.n_delivered(), label="delivered counts"
-        )
-
-    def test_partial_view_equivalence(self):
-        view = UniformPartialView(300, 10, seed=13)
-        dist = PoissonFanout(4.0)
-        scalar = _scalar_samples(300, dist, 0.9, 80, seed=500, membership=view)
-        batch = simulate_gossip_batch(
-            300, dist, 0.9, repetitions=80, seed=600, membership=view
-        )
         assert_same_distribution(
             [e.n_delivered() for e in scalar], batch.n_delivered(), label="delivered counts"
         )

@@ -1,4 +1,4 @@
-"""Unit tests for membership views and distinct-target sampling."""
+"""Unit tests for the full membership view and distinct-target sampling."""
 
 from __future__ import annotations
 
@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.membership import (
-    FullView,
-    MembershipView,
-    UniformPartialView,
-    sample_distinct,
-    sample_distinct_rows,
-)
+from repro.simulation.membership import FullView
+from repro.utils.sampling import sample_distinct, sample_distinct_rows
 
 
 class TestSampleDistinct:
@@ -68,11 +63,6 @@ class TestSampleDistinct:
 
 
 class TestFullView:
-    def test_view_excludes_self(self):
-        view = FullView(5)
-        assert set(view.view_of(2).tolist()) == {0, 1, 3, 4}
-        assert view.view_size(2) == 4
-
     def test_sample_targets_distinct_and_exclude_self(self, rng):
         view = FullView(20)
         targets = view.sample_targets(4, 6, rng)
@@ -88,15 +78,9 @@ class TestFullView:
     def test_invalid_member(self, rng):
         view = FullView(3)
         with pytest.raises(ValueError):
-            view.view_of(3)
+            view.sample_targets(3, 1, rng)
         with pytest.raises(ValueError):
             view.sample_targets(-1, 1, rng)
-
-    def test_reset_is_noop(self):
-        view = FullView(5)
-        before = view.view_of(0).copy()
-        view.reset(seed=1)
-        np.testing.assert_array_equal(before, view.view_of(0))
 
 
 class TestSampleDistinctNumpyPath:
@@ -164,29 +148,6 @@ class TestSampleTargetsBatch:
         assert counts[0] == 0
         assert np.all(np.abs(counts[1:] / 20000 - 0.25) < 0.02)
 
-    def test_partial_view_batch_stays_within_views(self, rng):
-        view = UniformPartialView(60, 6, seed=1)
-        members = rng.integers(0, 60, size=150)
-        fanouts = rng.integers(0, 10, size=150)
-        targets, senders = view.sample_targets_batch(members, fanouts, rng)
-        for j in range(150):
-            mine = targets[senders == j]
-            assert len(mine) == min(int(fanouts[j]), 6)
-            assert len(np.unique(mine)) == len(mine)
-            assert set(mine.tolist()) <= set(view.view_of(members[j]).tolist())
-
-    def test_generic_fallback_matches_contract(self, rng):
-        # Exercise the MembershipView base implementation directly.
-        view = UniformPartialView(40, 5, seed=2)
-        members = rng.integers(0, 40, size=30)
-        fanouts = rng.integers(0, 8, size=30)
-        targets, senders = MembershipView.sample_targets_batch(view, members, fanouts, rng)
-        assert targets.shape == senders.shape
-        for j in range(30):
-            mine = targets[senders == j]
-            assert len(mine) == min(int(fanouts[j]), 5)
-            assert set(mine.tolist()) <= set(view.view_of(members[j]).tolist())
-
     def test_mismatched_shapes_rejected(self, rng):
         view = FullView(10)
         with pytest.raises(ValueError):
@@ -198,138 +159,3 @@ class TestSampleTargetsBatch:
             np.zeros(4, dtype=np.int64), np.full(4, 3, dtype=np.int64), rng
         )
         assert targets.size == 0 and senders.size == 0
-
-
-class TestTimeVaryingMembership:
-    """The views' churn contract: presence masks and absent-target dropping."""
-
-    def test_alive_mask_defaults_to_everyone(self):
-        view = FullView(6)
-        mask = view.alive_mask()
-        assert mask.shape == (6,) and mask.all()
-        batch = view.alive_mask_batch(3)
-        assert batch.shape == (3, 6) and batch.all()
-
-    def test_apply_events_updates_masks(self):
-        view = FullView(8)
-        view.apply_events(1, leaves=[2, 5])
-        np.testing.assert_array_equal(np.flatnonzero(~view.alive_mask()), [2, 5])
-        view.apply_events(2, joins=[5])
-        np.testing.assert_array_equal(np.flatnonzero(~view.alive_mask()), [2])
-        batch = view.alive_mask_batch(4)
-        assert batch.shape == (4, 8)
-        assert not batch[:, 2].any() and batch[:, 5].all()
-
-    def test_full_rejoin_restores_static_path(self, rng):
-        # When everyone is back the mask deallocates and sampling is
-        # bit-identical to a never-churned view at the same seed.
-        view = UniformPartialView(40, 6, seed=5)
-        view.apply_events(1, leaves=[3, 7])
-        view.apply_events(2, joins=[3, 7])
-        static = UniformPartialView(40, 6, seed=5)
-        members = np.arange(40, dtype=np.int64)
-        fanouts = np.full(40, 3, dtype=np.int64)
-        a = view.sample_targets_batch(members, fanouts, np.random.default_rng(9))
-        b = static.sample_targets_batch(members, fanouts, np.random.default_rng(9))
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_invalid_event_ids_rejected(self):
-        view = FullView(5)
-        with pytest.raises(ValueError):
-            view.apply_events(1, leaves=[5])
-        with pytest.raises(ValueError):
-            view.apply_events(1, joins=[-1])
-        with pytest.raises(ValueError):
-            view.apply_events(-1, leaves=[0])
-
-    @pytest.mark.parametrize(
-        "make_view",
-        [lambda: FullView(50), lambda: UniformPartialView(50, 8, seed=4)],
-        ids=["full", "partial"],
-    )
-    def test_scalar_sampling_never_returns_absent_targets(self, make_view, rng):
-        view = make_view()
-        absent = [4, 9, 17, 30]
-        view.apply_events(1, leaves=absent)
-        for member in (0, 12, 44):
-            for _ in range(30):
-                targets = view.sample_targets(member, 6, rng)
-                assert member not in targets
-                assert not set(targets.tolist()) & set(absent)
-
-    @pytest.mark.parametrize(
-        "make_view",
-        [lambda: FullView(50), lambda: UniformPartialView(50, 8, seed=4)],
-        ids=["full", "partial"],
-    )
-    def test_batch_sampling_never_returns_absent_or_self(self, make_view, rng):
-        view = make_view()
-        absent = [4, 9, 17, 30]
-        view.apply_events(1, leaves=absent)
-        members = rng.integers(0, 50, size=200)
-        fanouts = rng.integers(0, 10, size=200)
-        targets, senders = view.sample_targets_batch(members, fanouts, rng)
-        assert targets.shape == senders.shape
-        assert not set(targets.tolist()) & set(absent)
-        assert np.all(targets != members[senders])
-
-    def test_generic_fallback_drops_absent_targets(self, rng):
-        view = UniformPartialView(30, 5, seed=6)
-        view.apply_events(1, leaves=[1, 2, 3])
-        members = rng.integers(0, 30, size=40)
-        fanouts = rng.integers(0, 6, size=40)
-        targets, _ = MembershipView.sample_targets_batch(view, members, fanouts, rng)
-        assert not set(targets.tolist()) & {1, 2, 3}
-
-
-class TestUniformPartialView:
-    def test_view_size_respected(self):
-        view = UniformPartialView(50, 8, seed=1)
-        for member in range(50):
-            assert view.view_size(member) == 8
-            assert member not in view.view_of(member)
-
-    def test_view_size_capped_at_group(self):
-        view = UniformPartialView(5, 100, seed=2)
-        assert view.view_size(0) == 4
-
-    def test_sampling_stays_within_view(self, rng):
-        view = UniformPartialView(40, 6, seed=3)
-        for member in (0, 7, 39):
-            targets = view.sample_targets(member, 4, rng)
-            assert set(targets.tolist()) <= set(view.view_of(member).tolist())
-            assert len(np.unique(targets)) == len(targets)
-
-    def test_sample_more_than_view(self, rng):
-        view = UniformPartialView(30, 3, seed=4)
-        targets = view.sample_targets(5, 10, rng)
-        assert len(targets) == 3
-
-    def test_reset_changes_views(self):
-        view = UniformPartialView(100, 5, seed=5)
-        before = view.view_of(0).copy()
-        view.reset(seed=6)
-        after = view.view_of(0)
-        assert not np.array_equal(before, after)
-
-    def test_deterministic_for_seed(self):
-        a = UniformPartialView(60, 7, seed=8)
-        b = UniformPartialView(60, 7, seed=8)
-        for member in range(0, 60, 13):
-            np.testing.assert_array_equal(a.view_of(member), b.view_of(member))
-
-    def test_reset_reproducible_for_seed(self):
-        # reset(seed) must land on exactly the views a fresh construction
-        # with that seed draws — the determinism contract ablation sweeps
-        # rely on when re-randomising one view object per repetition.
-        view = UniformPartialView(60, 7, seed=8)
-        view.reset(seed=21)
-        fresh = UniformPartialView(60, 7, seed=21)
-        np.testing.assert_array_equal(view._view_matrix, fresh._view_matrix)
-        view.reset(seed=21)
-        np.testing.assert_array_equal(view._view_matrix, fresh._view_matrix)
-
-    def test_invalid_view_size(self):
-        with pytest.raises(ValueError):
-            UniformPartialView(10, 0)

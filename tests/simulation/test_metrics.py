@@ -71,7 +71,6 @@ class TestSuccessCountResult:
         assert result.empirical_pmf.shape == (21,)
         assert result.empirical_pmf.sum() == pytest.approx(1.0)
         assert result.analytical_pmf.sum() == pytest.approx(1.0, abs=1e-9)
-        assert result.mean_count() == pytest.approx(np.mean(counts))
 
     def test_total_variation_distance_bounds(self):
         counts = np.array([20] * 10)

@@ -68,13 +68,6 @@ class TestNetworkModel:
         outcomes = [net.transmit(rng, lambda latency: None) for _ in range(10_000)]
         assert np.mean(outcomes) == pytest.approx(0.7, abs=0.03)
 
-    def test_reset_counters(self, rng):
-        net = NetworkModel()
-        net.transmit(rng, lambda latency: None)
-        net.reset_counters()
-        assert net.messages_sent == 0
-        assert net.messages_dropped == 0
-
     def test_invalid_loss_probability(self):
         with pytest.raises(ValueError):
             NetworkModel(loss_probability=1.5)
@@ -108,13 +101,6 @@ class TestLatencyBookkeeping:
         net.reset()
         assert net.messages_sent == 0
         assert net.messages_dropped == 0
-        assert net.total_latency == 0.0
-
-    def test_reset_counters_alias_clears_latency_too(self, rng):
-        # Regression: the old reset_counters left total_latency behind.
-        net = NetworkModel(latency=latency_constant(1.5))
-        net.transmit(rng, lambda latency: None)
-        net.reset_counters()
         assert net.total_latency == 0.0
 
 

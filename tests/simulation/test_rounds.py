@@ -24,7 +24,7 @@ class TestSuccessCounts:
             600, PoissonFanout(4.0), 0.9, executions=20, simulations=40, seed=5
         )
         expected_mean = 20 * result.analytical_reliability
-        assert result.mean_count() == pytest.approx(expected_mean, abs=1.5)
+        assert result.counts.mean() == pytest.approx(expected_mean, abs=1.5)
 
     def test_all_members_mode_is_stricter(self):
         per_member = simulate_success_counts(
@@ -33,7 +33,7 @@ class TestSuccessCounts:
         all_members = simulate_success_counts(
             400, PoissonFanout(4.0), 0.9, executions=10, simulations=20, seed=6, mode="all_members"
         )
-        assert all_members.mean_count() <= per_member.mean_count() + 1e-9
+        assert all_members.counts.mean() <= per_member.counts.mean() + 1e-9
 
     def test_all_members_with_threshold(self):
         strict = simulate_success_counts(
@@ -44,7 +44,7 @@ class TestSuccessCounts:
             300, PoissonFanout(4.0), 0.9, executions=8, simulations=15, seed=7,
             mode="all_members", success_threshold=0.8,
         )
-        assert relaxed.mean_count() >= strict.mean_count() - 1e-9
+        assert relaxed.counts.mean() >= strict.counts.mean() - 1e-9
 
     def test_huge_fanout_always_succeeds(self):
         result = simulate_success_counts(
@@ -56,7 +56,7 @@ class TestSuccessCounts:
         result = simulate_success_counts(
             500, PoissonFanout(0.5), 1.0, executions=10, simulations=10, seed=9
         )
-        assert result.mean_count() < 2.0
+        assert result.counts.mean() < 2.0
 
     def test_observer_never_equals_nonzero_source(self):
         # With a subcritical fanout the gossip rarely leaves the source, so
@@ -97,6 +97,6 @@ class TestSuccessCounts:
         # equal to the analytical reliability, so the empirical mean moves
         # towards (and at least as high as) the Binomial reference mean.
         reference_mean = 20 * conditional.analytical_reliability
-        assert conditional.mean_count() == pytest.approx(reference_mean, abs=1.0)
-        assert conditional.mean_count() >= unconditional.mean_count() - 1e-9
+        assert conditional.counts.mean() == pytest.approx(reference_mean, abs=1.0)
+        assert conditional.counts.mean() >= unconditional.counts.mean() - 1e-9
         assert conditional.total_variation_distance() <= unconditional.total_variation_distance() + 0.05

@@ -8,7 +8,6 @@ import pytest
 from repro.core.distributions import PoissonFanout
 from repro.core.poisson_case import poisson_reliability
 from repro.simulation import runner
-from repro.simulation.membership import UniformPartialView
 from repro.simulation.runner import estimate_reliability, reliability_sweep
 
 
@@ -31,13 +30,6 @@ class TestEstimateReliability:
         a = estimate_reliability(200, PoissonFanout(3.0), 0.8, repetitions=5, seed=3)
         b = estimate_reliability(200, PoissonFanout(3.0), 0.8, repetitions=5, seed=3)
         np.testing.assert_allclose(a.samples, b.samples)
-
-    def test_partial_view_supported_serially(self):
-        view = UniformPartialView(300, 8, seed=4)
-        estimate = estimate_reliability(
-            300, PoissonFanout(4.0), 0.9, repetitions=4, seed=5, membership=view
-        )
-        assert 0.0 <= estimate.mean_reliability <= 1.0
 
     def test_parallel_path_gives_sensible_result(self):
         # A chunk holds at most 327 replicas at n=400, so 400 replicas run as

@@ -19,6 +19,7 @@ import pytest
 
 from tools.lint.engine import Violation, lint_paths, load_file_context
 from tools.lint.rules import ALL_RULES
+from tools.lint.rules.rl007_unused_public import ALLOWED, UnusedPublicNameRule
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -646,6 +647,127 @@ class TestRL006Registry:
 
 
 # ---------------------------------------------------------------------------
+# RL007 — no public name that only tests call
+# ---------------------------------------------------------------------------
+
+_LIBRARY_MODULE = """
+def used_helper():
+    return 1
+
+
+def planted_function():
+    return 2
+
+
+class Engine:
+    def run(self):
+        return used_helper()
+
+    def planted_method(self):
+        return 3
+
+    def _private_method(self):
+        return 4
+
+
+def _private_function():
+    return 5
+"""
+
+_RUNNER = """
+from repro.mod import Engine
+
+Engine().run()
+"""
+
+
+class TestRL007UnusedPublic:
+    def _lint(
+        self, tmp_path: Path, callers: dict[str, str], allowed: dict[str, str] | None = None
+    ) -> list[Violation]:
+        """Lint ``src/repro/mod.py`` next to ``callers`` (relative path -> source)."""
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(textwrap.dedent(_LIBRARY_MODULE), encoding="utf-8")
+        # A package re-export is not a use.
+        (package / "__init__.py").write_text(
+            'from repro.mod import planted_function\n__all__ = ["planted_function"]\n',
+            encoding="utf-8",
+        )
+        for relative, source in callers.items():
+            target = tmp_path / relative
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(textwrap.dedent(source), encoding="utf-8")
+        rule = UnusedPublicNameRule({} if allowed is None else allowed)
+        return lint_paths([tmp_path], rules=[rule])
+
+    @staticmethod
+    def _names(violations: list[Violation]) -> set[str]:
+        return {violation.message.split("`")[1] for violation in violations}
+
+    def test_unused_function_and_method_flagged(self, tmp_path: Path) -> None:
+        violations = self._lint(tmp_path, {"examples/run.py": _RUNNER})
+        assert codes(violations) == {"RL007"}
+        assert self._names(violations) == {
+            "repro.mod.planted_function",
+            "repro.mod.Engine.planted_method",
+        }
+
+    def test_name_used_only_from_tests_flagged(self, tmp_path: Path) -> None:
+        test_only = """
+        from repro.mod import Engine, planted_function
+
+        def test_planted():
+            assert planted_function() == 2
+            assert Engine().planted_method() == 3
+        """
+        violations = self._lint(
+            tmp_path, {"examples/run.py": _RUNNER, "tests/test_mod.py": test_only}
+        )
+        assert self._names(violations) == {
+            "repro.mod.planted_function",
+            "repro.mod.Engine.planted_method",
+        }
+
+    @pytest.mark.parametrize("caller", ["examples/use.py", "perfbench/use.py"])
+    def test_name_used_from_examples_or_perfbench_clean(self, tmp_path: Path, caller) -> None:
+        use = """
+        from repro.mod import Engine, planted_function
+
+        planted_function()
+        Engine().planted_method()
+        """
+        violations = self._lint(tmp_path, {"examples/run.py": _RUNNER, caller: use})
+        assert violations == []
+
+    def test_allow_listed_names_clean(self, tmp_path: Path) -> None:
+        allowed = {
+            "repro.mod.planted_function": "bound by string in a tracer",
+            "repro.mod.Engine.planted_method": "documented library API",
+        }
+        violations = self._lint(tmp_path, {"examples/run.py": _RUNNER}, allowed)
+        assert violations == []
+
+    def test_stale_allow_list_entries_flagged(self, tmp_path: Path) -> None:
+        allowed = {
+            "repro.mod.planted_function": "still unused: a valid entry",
+            "repro.mod.Engine.planted_method": "still unused: a valid entry",
+            "repro.mod.used_helper": "now called by Engine.run",
+            "repro.mod.deleted_function": "no longer defined",
+            "repro.elsewhere.anything": "module not linted: cannot be judged",
+        }
+        violations = self._lint(tmp_path, {"examples/run.py": _RUNNER}, allowed)
+        messages = {violation.message for violation in violations}
+        assert codes(violations) == {"RL007"}
+        assert len(violations) == 2
+        assert any("`repro.mod.used_helper` now has a caller" in m for m in messages)
+        assert any("`repro.mod.deleted_function` is no longer defined" in m for m in messages)
+
+    def test_default_allow_list_names_its_reasons(self) -> None:
+        assert ALLOWED and all(reason.strip() for reason in ALLOWED.values())
+
+
+# ---------------------------------------------------------------------------
 # Engine: pragmas, markers, selection, rendering
 # ---------------------------------------------------------------------------
 
@@ -724,7 +846,9 @@ class TestEngine:
 
     def test_all_rules_have_unique_codes_and_summaries(self) -> None:
         rule_codes = [rule.code for rule in ALL_RULES]
-        assert sorted(rule_codes) == ["RL001", "RL002", "RL003", "RL004", "RL005", "RL006"]
+        assert sorted(rule_codes) == [
+            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"
+        ]
         assert len(set(rule_codes)) == len(rule_codes)
         assert all(rule.summary for rule in ALL_RULES)
 
@@ -771,7 +895,7 @@ class TestCli:
     def test_list_rules(self) -> None:
         result = run_lint_cli("--list-rules")
         assert result.returncode == 0
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
             assert code in result.stdout
 
     def test_select_restricts_rules(self, tmp_path: Path) -> None:

@@ -14,8 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special, stats
 
-from repro.core.distributions import BinomialFanout, FixedFanout, GeometricFanout, UniformFanout
-from repro.core.generating import build_generating_functions
+from repro.core.distributions import FixedFanout, GeometricFanout, MixtureFanout, UniformFanout
 from repro.utils import numerics
 from repro.utils.numerics import brentq, ndtri
 
@@ -50,7 +49,7 @@ class TestBrentq:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.sampled_from(["geometric", "uniform", "fixed", "binomial"]),
+        st.sampled_from(["geometric", "uniform", "fixed", "mixture"]),
         st.floats(1.2, 12.0),
         st.floats(0.05, 1.0),
     )
@@ -60,12 +59,13 @@ class TestBrentq:
             "geometric": lambda: GeometricFanout.from_mean(mean),
             "uniform": lambda: UniformFanout(0, int(round(2 * mean))),
             "fixed": lambda: FixedFanout(int(round(mean))),
-            "binomial": lambda: BinomialFanout(int(round(3 * mean)), 1 / 3),
+            "mixture": lambda: MixtureFanout(
+                [FixedFanout(1), FixedFanout(int(round(2 * mean)))], [0.5, 0.5]
+            ),
         }[family]()
-        g1 = build_generating_functions(dist, q).g1
 
         def h(v):
-            return v - (1.0 - q + q * float(g1(v)))
+            return v - (1.0 - q + q * float(dist.g1(v)))
 
         lo, hi = 0.0, 1.0 - 1e-12
         if h(lo) * h(hi) < 0:

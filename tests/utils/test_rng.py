@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, seed_sequence, spawn_generators, spawn_seeds
+from repro.utils.rng import as_generator, seed_sequence, spawn_seeds
 
 
 class TestAsGenerator:
@@ -41,21 +41,6 @@ class TestSeedSequence:
 
 
 class TestSpawning:
-    def test_spawn_generators_independent_streams(self):
-        gens = spawn_generators(3, seed=11)
-        draws = [g.integers(0, 10**9) for g in gens]
-        assert len(set(draws)) == 3
-
-    def test_spawn_generators_deterministic(self):
-        a = [g.integers(0, 10**9) for g in spawn_generators(3, seed=12)]
-        b = [g.integers(0, 10**9) for g in spawn_generators(3, seed=12)]
-        assert a == b
-
-    def test_spawn_from_generator(self):
-        parent = np.random.default_rng(13)
-        gens = spawn_generators(2, seed=parent)
-        assert len(gens) == 2
-
     def test_spawn_seeds_plain_ints(self):
         seeds = spawn_seeds(4, seed=14)
         assert len(seeds) == 4
@@ -68,10 +53,7 @@ class TestSpawning:
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            spawn_generators(-1)
-        with pytest.raises(ValueError):
             spawn_seeds(-1)
 
     def test_zero_count(self):
-        assert spawn_generators(0) == []
         assert spawn_seeds(0) == []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.tables import format_row, format_series, format_table
+from repro.utils.tables import format_row, format_table
 
 
 class TestFormatRow:
@@ -38,14 +38,3 @@ class TestFormatTable:
     def test_empty_rows(self):
         table = format_table(["a"], [])
         assert len(table.splitlines()) == 2
-
-
-class TestFormatSeries:
-    def test_round_trip(self):
-        text = format_series("reliability", [1.0, 2.0], [0.5, 0.9])
-        assert "reliability" in text
-        assert len(text.splitlines()) == 4
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("y", [1.0], [0.5, 0.6])

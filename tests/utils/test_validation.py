@@ -7,9 +7,7 @@ import math
 import pytest
 
 from repro.utils.validation import (
-    check_in_range,
     check_integer,
-    check_node_id,
     check_non_negative,
     check_positive,
     check_probability,
@@ -70,16 +68,6 @@ class TestCheckPositiveAndNonNegative:
             check_non_negative("x", -1e-9)
 
 
-class TestCheckInRange:
-    def test_inclusive(self):
-        assert check_in_range("x", 1.0, 1.0, 2.0) == 1.0
-
-    def test_exclusive(self):
-        with pytest.raises(ValueError):
-            check_in_range("x", 1.0, 1.0, 2.0, inclusive=False)
-        assert check_in_range("x", 1.5, 1.0, 2.0, inclusive=False) == 1.5
-
-
 class TestCheckInteger:
     def test_bounds(self):
         assert check_integer("k", 3, minimum=0, maximum=5) == 3
@@ -98,13 +86,3 @@ class TestCheckInteger:
         import numpy as np
 
         assert check_integer("k", np.int64(4)) == 4
-
-
-class TestCheckNodeId:
-    def test_in_range(self):
-        assert check_node_id("node", 0, 5) == 0
-        assert check_node_id("node", 4, 5) == 4
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            check_node_id("node", 5, 5)

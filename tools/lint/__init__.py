@@ -33,6 +33,8 @@ contract each protects):
  RL005    no wall-clock reads (``time.time``, ``datetime.now``, ...)
  RL006    experiment-registry hygiene: every experiment module registers
           exactly once and ``with_scale`` never widens budgets
+ RL007    every public function, class and method in ``src/repro`` has a
+          caller outside ``tests/`` (or an allow-list entry naming one)
 ========  =============================================================
 
 Suppress a single finding with an inline pragma on the offending line::

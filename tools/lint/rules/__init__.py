@@ -16,6 +16,7 @@ from tools.lint.rules.rl003_frozen_samplers import FrozenSamplerRule
 from tools.lint.rules.rl004_zero_draw import ZeroDrawRule
 from tools.lint.rules.rl005_wall_clock import WallClockRule
 from tools.lint.rules.rl006_registry import RegistryHygieneRule
+from tools.lint.rules.rl007_unused_public import UnusedPublicNameRule
 
 __all__ = ["ALL_RULES", "Rule"]
 
@@ -27,4 +28,5 @@ ALL_RULES: tuple[Rule, ...] = (
     ZeroDrawRule(),
     WallClockRule(),
     RegistryHygieneRule(),
+    UnusedPublicNameRule(),
 )
