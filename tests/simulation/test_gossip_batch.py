@@ -29,12 +29,9 @@ from tests.helpers.statistical import (
 from tests.reference.scalar_protocols import simulate_gossip_once
 
 
-def _scalar_samples(n, dist, q, repetitions, seed, **kwargs):
+def _scalar_samples(n, dist, q, repetitions, seed):
     rng = np.random.default_rng(seed)
-    return [
-        simulate_gossip_once(n, dist, q, seed=rng, **kwargs)
-        for _ in range(repetitions)
-    ]
+    return [simulate_gossip_once(n, dist, q, seed=rng) for _ in range(repetitions)]
 
 
 class TestBatchBasics:
