@@ -16,6 +16,7 @@ from repro.core.distributions import (
     PoissonFanout,
     UniformFanout,
 )
+from repro.core.percolation import critical_ratio
 
 
 class TestCommonProperties:
@@ -46,6 +47,19 @@ class TestCommonProperties:
         expected = float(np.sum(k * (k - 1) * pmf))
         assert any_distribution.second_factorial_moment() == pytest.approx(expected, abs=1e-6)
 
+    def test_truncated_pmf_is_a_prefix(self, any_distribution):
+        # pmf(k) and cdf(k) truncate at k; every truncation must agree with
+        # the full array.
+        pmf = any_distribution.pmf_array()
+        for k_max in (0, 1, 3, pmf.size - 1, pmf.size + 4):
+            head = any_distribution.pmf_array(k_max=k_max)
+            assert head.shape == (k_max + 1,)
+            common = min(head.size, pmf.size)
+            np.testing.assert_allclose(head[:common], pmf[:common], rtol=1e-12, atol=1e-15)
+            assert np.all(head[common:] <= 1e-12)
+        for k in range(min(pmf.size, 8)):
+            assert any_distribution.pmf(k) == pytest.approx(pmf[k], rel=1e-12, abs=1e-15)
+
     def test_g0_at_one_is_one(self, any_distribution):
         assert any_distribution.g0(1.0) == pytest.approx(1.0, abs=1e-9)
 
@@ -62,6 +76,61 @@ class TestCommonProperties:
         xs = np.linspace(0.0, 1.0, 11)
         values = np.asarray(any_distribution.g0(xs))
         assert np.all(np.diff(values) >= -1e-12)
+
+    def test_g0_and_derivatives_equal_the_pmf_series(self, any_distribution):
+        pmf = any_distribution.pmf_array()
+        k = np.arange(pmf.size)
+        xs = np.linspace(0.0, 1.0, 11)
+        series = {
+            "g0": pmf,
+            "g0_prime": (k * pmf)[1:],
+            "g0_double_prime": (k * (k - 1) * pmf)[2:],
+        }
+        for name, coeffs in series.items():
+            expected = np.polynomial.polynomial.polyval(xs, coeffs)
+            np.testing.assert_allclose(
+                getattr(any_distribution, name)(xs), expected, rtol=1e-9, atol=1e-12
+            )
+
+    def test_g0_double_prime_at_one_is_second_factorial_moment(self, any_distribution):
+        assert any_distribution.g0_double_prime(1.0) == pytest.approx(
+            any_distribution.second_factorial_moment(), rel=1e-9, abs=1e-12
+        )
+
+    def test_g1_is_normalised_g0_prime(self, any_distribution):
+        # G1(x) = G0'(x) / G0'(1): the excess-degree GF that Eq. 4 iterates.
+        xs = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_allclose(
+            any_distribution.g1(xs),
+            any_distribution.g0_prime(xs) / any_distribution.mean(),
+            rtol=1e-9,
+            atol=1e-12,
+        )
+
+    def test_g1_prime_at_one_is_inverse_critical_ratio(self, any_distribution):
+        # G1'(1) = E[F(F-1)] / E[F], the mean excess degree of Eq. 3.
+        assert any_distribution.g1_prime(1.0) == pytest.approx(
+            1.0 / critical_ratio(any_distribution), rel=1e-9
+        )
+
+    def test_g1_monotone_and_convex_on_unit_interval(self, any_distribution):
+        xs = np.linspace(0.0, 1.0, 21)
+        values = np.asarray(any_distribution.g1(xs))
+        slopes = np.asarray(any_distribution.g1_prime(xs))
+        assert np.all((values >= -1e-12) & (values <= 1.0 + 1e-12))
+        assert np.all(np.diff(values) >= -1e-12)
+        assert np.all(np.diff(slopes) >= -1e-9)
+
+    def test_generating_functions_accept_scalars_and_arrays(self, any_distribution):
+        xs = np.array([[0.0, 0.25], [0.5, 1.0]])
+        for name in ("g0", "g0_prime", "g0_double_prime", "g1", "g1_prime"):
+            func = getattr(any_distribution, name)
+            values = np.asarray(func(xs))
+            assert values.shape == xs.shape, name
+            for x, value in zip(xs.ravel(), values.ravel(), strict=True):
+                scalar = func(float(x))
+                assert isinstance(scalar, float), name
+                assert scalar == pytest.approx(value, rel=1e-12, abs=1e-15), name
 
     def test_sample_dtype_and_range(self, any_distribution):
         samples = any_distribution.sample(500, seed=123)

@@ -118,6 +118,15 @@ class TestGiantComponentSize:
     def test_q_zero_gives_zero(self):
         assert giant_component_size(PoissonFanout(5.0), 0.0) == 0.0
 
+    def test_all_nodes_normalisation(self):
+        dist = PoissonFanout(4.0)
+        q = 0.75
+        result = percolation_analysis(dist, q)
+        assert result.giant_component_size_all == pytest.approx(
+            q * giant_component_size(dist, q)
+        )
+        assert percolation_analysis(dist, 0.2).giant_component_size_all == 0.0
+
     def test_fixed_fanout_reliability_higher_than_poisson_at_same_mean(self):
         # Lower fanout variance concentrates the degree at the mean, which for
         # supercritical settings yields a slightly larger giant component.
@@ -133,6 +142,18 @@ class TestGiantComponentSize:
     @settings(max_examples=60, deadline=None)
     def test_size_in_unit_interval(self, z, q):
         size = giant_component_size(PoissonFanout(z), q)
+        assert 0.0 <= size <= 1.0
+
+    @given(
+        alpha=st.floats(min_value=1.2, max_value=3.5),
+        q=st.floats(min_value=0.1, max_value=1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_zipf_size_in_unit_interval(self, alpha, q):
+        # Zipf(alpha) truncated at 30, as a mixture of fixed fanouts.
+        support = range(1, 31)
+        dist = MixtureFanout([FixedFanout(k) for k in support], [k**-alpha for k in support])
+        size = giant_component_size(dist, q)
         assert 0.0 <= size <= 1.0
 
 
@@ -164,6 +185,14 @@ class TestPercolationAnalysis:
         assert result.giant_component_size == 0.0
         assert not result.supercritical
 
+    def test_supercritical_flag_switches_at_threshold(self):
+        # Poisson(4): q_c = 1/4, and exactly at q_c there is no giant component.
+        dist = PoissonFanout(4.0)
+        assert percolation_analysis(dist, 0.3).supercritical
+        assert not percolation_analysis(dist, 0.25).supercritical
+        assert not percolation_analysis(dist, 0.2).supercritical
+        assert not percolation_analysis(FixedFanout(0), 0.9).supercritical
+
     def test_zero_mean_record(self):
         result = percolation_analysis(FixedFanout(0), 0.8)
         assert result.giant_component_size == 0.0
@@ -171,20 +200,28 @@ class TestPercolationAnalysis:
 
 
 #: ``(family, q, u, giant_component_size)`` for the four CLI families at mean
-#: fanout 4, one q below, one just above and one well above each critical
-#: ratio (poisson 0.25, fixed 1/3, geometric 0.125, uniform 2/7).
+#: fanout 4: one q below, one just above and one well above each critical
+#: ratio (poisson 0.25, fixed 1/3, geometric 0.125, uniform 2/7), the
+#: half-failed group q = 0.5, and the failure-free q = 1 where its root is
+#: not the trivial u = 0 of a fanout that is never 0 or 1.
 EQ4_EXACT = [
     ("poisson", 0.2, 1.0, 0.0),
     ("poisson", 0.26, 0.9802597577839217, 0.0759240085233781),
+    ("poisson", 0.5, 0.6015939349899899, 0.7968121300200202),
     ("poisson", 0.9, 0.12744471517824, 0.9695058720241778),
+    ("poisson", 1.0, 0.019827401281779143, 0.9801725987182215),
     ("fixed", 0.3, 1.0, 0.0),
     ("fixed", 0.34, 0.980262297901363, 0.0766439527295264),
+    ("fixed", 0.5, 0.6180339887498949, 0.8541019662496845),
     ("fixed", 0.9, 0.10092521257733165, 0.9998962474710595),
     ("geometric", 0.1, 1.0, 0.0),
     ("geometric", 0.13, 0.9933623210326317, 0.025864007943324108),
+    ("geometric", 0.5, 0.5669872981077806, 0.6339745962155614),
     ("geometric", 0.9, 0.1461651584688989, 0.7735168427432211),
+    ("geometric", 1.0, 0.04289321881345284, 0.7928932188134524),
     ("uniform", 0.25, 1.0, 0.0),
     ("uniform", 0.29, 0.9900692127266135, 0.03903962028518604),
+    ("uniform", 0.5, 0.6120499881969843, 0.8234664567179524),
     ("uniform", 0.9, 0.11207629385101932, 0.9971707313518124),
 ]
 
@@ -255,3 +292,19 @@ class TestSelfConsistentU:
         u = self_consistent_u(dist, q)
         assert 0.0 <= u <= 1.0
         assert u == pytest.approx(1.0 - q + q * float(dist.g1(u)), abs=1e-5)
+
+    @pytest.mark.parametrize("q", [0.2, 0.45, 0.7, 0.95])
+    def test_every_fanout_shape_solves_eq4(self, any_distribution, q):
+        dist = any_distribution
+        u = self_consistent_u(dist, q)
+        assert 0.0 <= u <= 1.0
+        assert u == pytest.approx(1.0 - q + q * float(dist.g1(u)), abs=1e-9)
+        size = giant_component_size(dist, q)
+        if q < critical_ratio(dist):
+            # Below the threshold (Eq. 3) only the trivial root u = 1 exists.
+            assert u == pytest.approx(1.0, abs=1e-6)
+            assert size == 0.0
+        else:
+            assert u < 1.0 - 1e-6
+            assert size > 0.0
+            assert size == pytest.approx(1.0 - float(dist.g0(u)), abs=1e-12)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.distributions import FixedFanout, PoissonFanout
-from repro.core.poisson_case import poisson_reliability
+from repro.core.poisson_case import mean_fanout_for_reliability, poisson_reliability
 from repro.core.reliability import ReliabilityModel, reliability
 
 
@@ -64,6 +66,29 @@ class TestReliabilityModel:
         loose = model.tolerable_failure_ratio(0.5)
         strict = model.tolerable_failure_ratio(0.95)
         assert loose > strict
+
+    def test_tolerable_failure_ratio_inverts_eq12(self):
+        # Eq. 12, z = -ln(1 - s) / (q s), solved for q is the smallest q
+        # that still reaches reliability s.
+        for z, s in [(5.0, 0.9), (4.0, 0.5), (8.0, 0.99)]:
+            q_min = -math.log(1.0 - s) / (z * s)
+            ratio = ReliabilityModel(PoissonFanout(z)).tolerable_failure_ratio(s)
+            assert ratio == pytest.approx(1.0 - q_min, abs=1e-5)
+        s, q = 0.8, 0.7
+        z = mean_fanout_for_reliability(s, q)
+        ratio = ReliabilityModel(PoissonFanout(z)).tolerable_failure_ratio(s)
+        assert ratio == pytest.approx(1.0 - q, abs=1e-5)
+
+    def test_tolerable_failure_ratio_brackets_the_target(self, any_distribution):
+        model = ReliabilityModel(any_distribution)
+        target = 0.5
+        ratio = model.tolerable_failure_ratio(target)
+        if model.reliability(1.0) < target:
+            assert ratio == 0.0
+            return
+        q_min = 1.0 - ratio
+        assert model.reliability(q_min) >= target - 1e-9
+        assert model.reliability(q_min - 1e-5) < target
 
     def test_invalid_target(self):
         model = ReliabilityModel(PoissonFanout(3.0))

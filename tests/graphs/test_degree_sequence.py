@@ -32,6 +32,15 @@ class TestSampling:
         assert degrees.mean() == pytest.approx(4.0, abs=0.1)
 
 
+class TestMoments:
+    def test_matches_poisson_expectations(self):
+        degrees = sample_degree_sequence(PoissonFanout(4.0), 50_000, seed=5)
+        # For Poisson(z): E[k(k-1)] = z^2, so the mean excess degree ~= z.
+        mean = degrees.mean()
+        assert mean == pytest.approx(4.0, abs=0.1)
+        assert np.mean(degrees * (degrees - 1)) / mean == pytest.approx(4.0, abs=0.15)
+
+
 class TestFixedFanoutSampling:
     def test_constant_sequence(self):
         degrees = sample_degree_sequence(FixedFanout(3), 50, seed=6)

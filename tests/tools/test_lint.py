@@ -740,6 +740,84 @@ class TestRL007UnusedPublic:
         violations = self._lint(tmp_path, {"examples/run.py": _RUNNER, caller: use})
         assert violations == []
 
+    def test_unused_class_flagged(self, tmp_path: Path) -> None:
+        extra = """
+        class PlantedClass:
+            pass
+        """
+        violations = self._lint(
+            tmp_path, {"examples/run.py": _RUNNER, "src/repro/extra.py": extra}
+        )
+        assert "repro.extra.PlantedClass" in self._names(violations)
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            "def call(planted_function):\n    return planted_function()\n",
+            "import repro.mod\n\nrepro.mod.planted_function()\n",
+            "from repro.mod import planted_function\n",
+        ],
+        ids=["name", "attribute", "from-import"],
+    )
+    def test_each_kind_of_use_counts(self, tmp_path: Path, use: str) -> None:
+        violations = self._lint(tmp_path, {"examples/run.py": _RUNNER, "tools/use.py": use})
+        assert self._names(violations) == {"repro.mod.Engine.planted_method"}
+
+    @pytest.mark.parametrize(
+        ("caller", "reexport"),
+        [
+            ("tools/pkg/__init__.py", "from repro.mod import planted_function\n"),
+            ("tools/names.py", '__all__ = ["planted_function"]\n'),
+        ],
+        ids=["package-import", "all-entry"],
+    )
+    def test_reexports_are_not_uses(self, tmp_path: Path, caller: str, reexport: str) -> None:
+        violations = self._lint(tmp_path, {"examples/run.py": _RUNNER, caller: reexport})
+        assert "repro.mod.planted_function" in self._names(violations)
+
+    def test_private_dunder_and_nested_definitions_not_flagged(self, tmp_path: Path) -> None:
+        extra = """
+        def _hidden():
+            return 1
+
+
+        def outer():
+            def inner():
+                return 2
+
+            return inner()
+
+
+        class Shown:
+            def __call__(self):
+                return outer()
+        """
+        use = """
+        from repro.extra import Shown
+
+        Shown()()
+        """
+        violations = self._lint(
+            tmp_path,
+            {"examples/run.py": _RUNNER, "src/repro/extra.py": extra, "tools/use.py": use},
+        )
+        assert not any(name.startswith("repro.extra") for name in self._names(violations))
+
+    @pytest.mark.parametrize("location", ["tools/helper.py", "src/repro/sub/__init__.py"])
+    def test_definitions_outside_library_modules_not_flagged(
+        self, tmp_path: Path, location: str
+    ) -> None:
+        unused = """
+        def never_called():
+            return 1
+        """
+        violations = self._lint(tmp_path, {"examples/run.py": _RUNNER, location: unused})
+        assert "never_called" not in {name.rsplit(".", 1)[-1] for name in self._names(violations)}
+        assert self._names(violations) == {
+            "repro.mod.planted_function",
+            "repro.mod.Engine.planted_method",
+        }
+
     def test_allow_listed_names_clean(self, tmp_path: Path) -> None:
         allowed = {
             "repro.mod.planted_function": "bound by string in a tracer",
