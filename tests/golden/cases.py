@@ -14,10 +14,14 @@ the per-replica integer counters (``messages_sent``, ``messages_dropped``,
   latency;
 * the gossip engine and all nine protocols with every plane on at once:
   i.i.d. (``all-iid``) or Gilbert–Elliott (``all-ge``) loss together with
-  exponential latency and Poisson churn.  These combined cases also hash the
-  ``(R, n)`` ``delivery_times``, since latency and churn interact there
+  exponential latency and Poisson churn, where latency and churn interact
   (matured messages are re-checked against membership, and empty legs still
   advance a bursty channel).
+
+Every case that runs with a network also hashes the ``(R, n)``
+``delivery_times``: a network turns the latency plane on, and its times are
+an output as much as the masks are, on the constant-latency plane of the
+loss-only cases as on the exponential one.
 
 Each ``experiment/<id>`` case hashes the stdout of ``repro run <id> --scale
 small``, run in-process through :func:`repro.cli.main`: the printed table of
@@ -85,7 +89,7 @@ NETWORKS: dict[str, Callable[[], NetworkModel]] = {
     ),
 }
 CHURN = PoissonChurnModel(leave_rate=0.02, join_rate=0.2, initially_absent=0.05)
-#: Planes that run with every plane on and also hash delivery times.
+#: Planes that run with every plane on.
 COMBINED = ("all-iid", "all-ge")
 
 
@@ -146,7 +150,7 @@ def _gossip_case(plane: str) -> Callable[[], str]:
             network=NETWORKS[plane]() if plane in NETWORKS else None,
             churn=CHURN.draw_batch(N, REPETITIONS, rng) if _has_churn(plane) else None,
         )
-        return digest(result, GOSSIP_COUNTERS, times=plane in COMBINED)
+        return digest(result, GOSSIP_COUNTERS, times=plane in NETWORKS)
 
     return run
 
@@ -162,7 +166,7 @@ def _protocol_case(protocol: Any, plane: str) -> Callable[[], str]:
             network=NETWORKS[plane]() if plane in NETWORKS else None,
             churn=CHURN if _has_churn(plane) else None,
         )
-        return digest(result, PROTOCOL_COUNTERS, times=plane in COMBINED)
+        return digest(result, PROTOCOL_COUNTERS, times=plane in NETWORKS)
 
     return run
 
