@@ -97,7 +97,9 @@ class DeliveryTimePlane:
         presence mask, matured messages whose addressee is absent are
         dropped on landing; this call's own cells are not re-checked.
         Call it once per round per channel — with an empty ``cells`` when
-        the protocol sent nothing but bucketed messages may be due.
+        the protocol sent nothing but bucketed messages may be due.  On the
+        constant fast path nothing is drawn: ``total_latency`` grows by
+        count × value and every cell lands now, at the round's one time.
 
     ``record(cells, times)``
         Fold arrival times into the per-member delivery clock
@@ -141,12 +143,13 @@ class DeliveryTimePlane:
         self._pending_per_replica = np.zeros(self.repetitions, dtype=np.int64)
         sampler = getattr(network, "latency", None)
         #: constant latency within one round period: every message is
-        #: same-round processable, so the bucket machinery is never touched
-        #: and the plane adds nothing but the (randomness-free) latency
-        #: accounting — the bit-identity fast path.
+        #: same-round processable at one time per round, so the bucket
+        #: machinery is never touched and the plane adds nothing but the
+        #: (randomness-free) latency accounting — the bit-identity fast path.
         self.constant_fast_path = bool(getattr(sampler, "is_constant", False)) and (
             float(getattr(sampler, "value", np.inf)) <= self.round_period
         )
+        self._constant_latency = float(sampler.value) if self.constant_fast_path else None
 
     # ------------------------------------------------------------------ time
 
@@ -176,7 +179,8 @@ class DeliveryTimePlane:
         ``None`` when the channel carries no auxiliary data.  The due batch
         is previously bucketed messages maturing this round followed by
         this call's same-round arrivals; in the constant fast path it is
-        exactly the input (order preserved, no copies beyond the times).
+        exactly the input (order preserved, no copies), and ``due_times`` is
+        a read-only broadcast of the round's single arrival time.
 
         A message is late when ``delay / round_period > 1``, the same
         decision as ``max(1, ceil(delay / round_period)) > 1`` for every
@@ -189,11 +193,13 @@ class DeliveryTimePlane:
         the same mask.
         """
         cells = np.asarray(cells, dtype=np.int64)
+        if self._constant_latency is not None:
+            self.network.total_latency += cells.size * self._constant_latency
+            arrival = self.send_time(round_index) + self._constant_latency
+            return cells, np.broadcast_to(arrival, cells.shape), aux
+
         delays = self.network.draw_latency_batch(rng, cells.size)
         times = self.send_time(round_index) + delays
-        if self.constant_fast_path:
-            return cells, times, aux
-
         channel_buckets = self._buckets.setdefault(channel, {})
         if cells.size:
             spans = delays / self.round_period

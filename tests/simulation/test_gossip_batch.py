@@ -20,7 +20,12 @@ from repro.core.distributions import FixedFanout, PoissonFanout
 from repro.core.poisson_case import poisson_reliability
 from repro.simulation.churn import PoissonChurnModel
 from repro.simulation.gossip import BatchGossipResult, GossipExecution, simulate_gossip_batch
-from repro.simulation.network import NetworkModel, latency_exponential
+from repro.simulation.network import (
+    GilbertElliottNetworkModel,
+    NetworkModel,
+    latency_constant,
+    latency_exponential,
+)
 from tests.helpers.statistical import (
     assert_reliability_within_band,
     assert_same_counts_chisquare,
@@ -150,6 +155,17 @@ _NETWORKS = {
 }
 
 
+def _conservation_gap(result: BatchGossipResult) -> np.ndarray:
+    """Per replica: messages sent, not dropped and not duplicates, minus members reached.
+
+    Every sent message is dropped, a duplicate, the first copy a member
+    gets, or wasted on an absent member, so at q = 1 the gap is the wasted
+    sends.
+    """
+    fresh = result.messages_sent - result.messages_dropped - result.duplicates
+    return fresh - (result.delivered.sum(axis=1) - 1)
+
+
 class TestConservation:
     """Every arrived message is either a duplicate or the first copy a member gets."""
 
@@ -173,14 +189,77 @@ class TestConservation:
             seed=seed,
             network=_NETWORKS[network](),
         )
-        fresh = result.messages_sent - result.messages_dropped - result.duplicates
-        reached = result.delivered.sum(axis=1) - 1
+        gap = _conservation_gap(result)
         if q == 1.0:
-            np.testing.assert_array_equal(fresh, reached)
+            np.testing.assert_array_equal(gap, 0)
         else:
             # A failed member receives (and books) its first copy without
             # being delivered.
-            assert np.all(fresh >= reached)
+            assert np.all(gap >= 0)
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            lambda: GilbertElliottNetworkModel(
+                loss_probability=0.05,
+                bad_loss_probability=0.6,
+                p_good_to_bad=0.3,
+                p_bad_to_good=0.4,
+            ),
+            # Within the round period: one arrival time per round.
+            lambda: NetworkModel(latency=latency_constant(0.4), loss_probability=0.2),
+        ],
+        ids=["gilbert-elliott", "constant-latency-below-period"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        repetitions=st.integers(1, 6),
+        mean=st.floats(0.5, 6.0),
+    )
+    def test_law_is_exact_on_lossy_planes(self, network, seed, n, repetitions, mean):
+        result = simulate_gossip_batch(
+            n, PoissonFanout(mean), 1.0, repetitions=repetitions, seed=seed, network=network()
+        )
+        np.testing.assert_array_equal(_conservation_gap(result), 0)
+
+    @pytest.mark.parametrize("trivial", [False, True], ids=["churn", "trivial-schedule"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        repetitions=st.integers(1, 6),
+        mean=st.floats(0.5, 6.0),
+        latency=st.sampled_from([None, 0.4, "exponential"]),
+    )
+    def test_churn_gap_is_the_wasted_sends(self, trivial, seed, n, repetitions, mean, latency):
+        model = (
+            PoissonChurnModel(leave_rate=0.0, join_rate=0.0, initially_absent=0.0)
+            if trivial
+            else PoissonChurnModel(leave_rate=0.1, join_rate=0.3, initially_absent=0.2)
+        )
+        rng = np.random.default_rng(seed)
+        network = NetworkModel(
+            latency=latency_exponential(1.2)
+            if latency == "exponential"
+            else latency_constant(1.0 if latency is None else latency),
+            loss_probability=0.2,
+        )
+        result = simulate_gossip_batch(
+            n,
+            PoissonFanout(mean),
+            1.0,
+            repetitions=repetitions,
+            seed=rng,
+            network=network,
+            churn=model.draw_batch(n, repetitions, rng),
+        )
+        gap = _conservation_gap(result)
+        if trivial:
+            np.testing.assert_array_equal(gap, 0)
+        else:
+            assert np.all(gap >= 0)
 
 
 class TestDistributionEquivalence:
