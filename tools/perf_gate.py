@@ -19,8 +19,11 @@ from head's ``BENCHMARK.json``.  A workload or metric only one side declares
 is listed and not gated.
 
 It prints one row per (workload, metric): base median, head median, relative
-change, pairs lost and verdict.  The last line of standard output is one JSON
-object.  The exit code is 0 when head passes, 1 when a metric regresses, a
+change, pairs lost and verdict.  Per workload it also reports in how many
+pairs base and head printed the same output digest (``digest sha256:...``,
+same seed on both sides), so a change meant to keep every fixed-seed stream
+shows that it did; the count is reported, not gated.  The last line of
+standard output is one JSON object.  The exit code is 0 when head passes, 1 when a metric regresses, a
 head run exits non-zero or prints no result line, or head fails a larger share
 of operations than base, and 2 when the gate cannot judge: a tree has no
 ``BENCHMARK.json``, or a base run exits non-zero or prints no result line.
@@ -58,10 +61,15 @@ SECONDS = 1
 
 @dataclass(frozen=True)
 class Run:
-    """One perfbench run: its exit code and its result line (``None`` if none)."""
+    """One perfbench run: its exit code, its result line and its output digest.
+
+    ``result`` is ``None`` without a result line, ``digest`` (``sha256:...``)
+    without a digest line.
+    """
 
     code: int
     result: dict[str, Any] | None
+    digest: str | None = None
 
     @property
     def broken(self) -> bool:
@@ -84,16 +92,21 @@ class Row:
 
 @dataclass(frozen=True)
 class Verdict:
-    """What the gate decided: exit code, metric rows, problems and what it left out."""
+    """What the gate decided: exit code, metric rows, problems and what it left out.
+
+    ``digests_equal`` maps each judged workload to the number of pairs whose
+    two runs printed the same digest.
+    """
 
     code: int
     rows: list[Row]
     problems: list[str]
     not_gated: list[str]
+    digests_equal: dict[str, int]
 
 
 def parse_run(code: int, stdout: str) -> Run:
-    """Read a run's result from the last line of its standard output."""
+    """Read a run's result from the last line of its standard output, and its digest line."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -101,7 +114,15 @@ def parse_run(code: int, stdout: str) -> Run:
         result = None
     if not (isinstance(result, dict) and {"attempted", "failed", "metrics"} <= result.keys()):
         result = None
-    return Run(code, result)
+    digests = [words[1] for words in map(str.split, lines)
+               if len(words) > 1 and words[0] == "digest" and words[1].startswith("sha256:")]
+    return Run(code, result, digests[0] if digests else None)
+
+
+def equal_digests(base_runs: list[Run], head_runs: list[Run]) -> int:
+    """The number of pairs whose base and head runs printed the same digest."""
+    return sum(b.digest is not None and b.digest == h.digest
+               for b, h in zip(base_runs, head_runs, strict=True))
 
 
 def shared(base: list[dict[str, Any]], head: list[dict[str, Any]], kind: str
@@ -183,7 +204,8 @@ def decide(base_spec: dict[str, Any], head_spec: dict[str, Any],
         head_problems += found[1]
         base_problems += found[2]
     code = 1 if head_problems else 2 if base_problems else 0
-    return Verdict(code, rows, head_problems + base_problems, not_gated + metric_notes)
+    digests = {w["name"]: equal_digests(*runs[w["name"]]) for w in workloads}
+    return Verdict(code, rows, head_problems + base_problems, not_gated + metric_notes, digests)
 
 
 def run_once(side: str, tree: Path, workload: str, seed: int) -> Run:
@@ -220,12 +242,14 @@ def report(verdict: Verdict) -> None:
     for row in verdict.rows:
         print(f"{row.workload:<22} {row.metric:<16} {row.base:>14.4f} {row.head:>14.4f} "
               f"{row.change:>+8.1%} {row.lost:>3}/{PAIRS}  {row.verdict}")
+    for workload, equal in verdict.digests_equal.items():
+        print(f"{workload}: digests equal in {equal}/{PAIRS} pairs")
     for note in verdict.not_gated:
         print(f"not gated: {note}")
     for problem in verdict.problems:
         print(f"problem: {problem}")
     print(json.dumps({"code": verdict.code, "problems": verdict.problems,
-                      "not_gated": verdict.not_gated,
+                      "not_gated": verdict.not_gated, "digests_equal": verdict.digests_equal,
                       "rows": [asdict(row) for row in verdict.rows]}))
 
 
