@@ -44,6 +44,11 @@ __all__ = ["main", "build_parser"]
 #: Named ``--scale`` presets of the ``run`` sub-command.
 _SCALE_PRESETS = {"small": 0.1, "medium": 0.5, "full": 1.0}
 
+#: The largest group size a simulating sub-command accepts: the largest n the
+#: repository validates (Sec. 4, n = 10**6).  A simulation allocates ``(R, n)``
+#: masks, so a larger ``-n`` is refused before anything is allocated.
+_MAX_SIMULATED_MEMBERS = 10**6
+
 
 def _parse_scale(raw: str) -> float:
     """Parse a ``--scale`` value: a named preset or a float factor in (0, 1]."""
@@ -60,8 +65,8 @@ def _parse_scale(raw: str) -> float:
     return scale
 
 
-def _integer(minimum: int) -> Callable[[str], int]:
-    """An argparse type: an integer >= ``minimum``."""
+def _integer(minimum: int, maximum: int | None = None) -> Callable[[str], int]:
+    """An argparse type: an integer >= ``minimum`` (and <= ``maximum``, if given)."""
 
     def parse(raw: str) -> int:
         try:
@@ -70,6 +75,8 @@ def _integer(minimum: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be an integer <= {maximum}, got {value}")
         return value
 
     return parse
@@ -146,8 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--members", "-n", type=_integer(2), default=1000, help="group size n")
+    def add_model_arguments(p: argparse.ArgumentParser, max_members: int | None = None) -> None:
+        p.add_argument(
+            "--members", "-n", type=_integer(2, max_members), default=1000, help="group size n"
+        )
         p.add_argument("--fanout", "-f", type=_positive, default=4.0, help="mean fanout")
         p.add_argument(
             "--family",
@@ -167,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo estimate of one configuration")
-    add_model_arguments(simulate)
+    add_model_arguments(simulate, _MAX_SIMULATED_MEMBERS)
     simulate.add_argument(
         "--repetitions", type=_integer(1), default=20, help="independent executions"
     )
@@ -231,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="surface protocol: gossip-<family> (horizon-free) or a protocol-zoo id",
     )
     build_surface.add_argument(
-        "--members", "-n", type=_csv(_integer(2)), default=(1000,),
+        "--members", "-n", type=_csv(_integer(2, _MAX_SIMULATED_MEMBERS)), default=(1000,),
         help="group sizes, comma-separated",
     )
     build_surface.add_argument(

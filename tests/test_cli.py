@@ -69,6 +69,7 @@ class TestArgumentValidation:
             (["build-surface", "{out}", "-q", "0.5,0"], "--alive-ratios/-q"),
             (["build-surface", "{out}", "--losses", "1"], "--losses"),
             (["build-surface", "{out}", "--repetitions", "1"], "--repetitions"),
+            (["build-surface", "{out}", "-n", "100,1000001"], "--members/-n"),
         ],
     )
     def test_out_of_range_is_a_usage_error(self, argv, flag, tmp_path, capsys):
@@ -102,6 +103,22 @@ class TestArgumentValidation:
     def test_fanout_of_n_minus_one_is_accepted(self, capsys):
         assert main(["analyze", "-n", "100", "-f", "99", "--family", "geometric"]) == 0
         assert "reliability R(q, P)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("members", ["1000001", "100000000"])
+    def test_simulated_group_above_a_million_is_a_usage_error(self, members, capsys):
+        # Parsed only: a refused size allocates nothing.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["simulate", "-n", members])
+        assert exit_info.value.code == 2
+        [line] = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert f"argument --members/-n: must be an integer <= 1000000, got {members}" in line
+
+    def test_simulated_group_of_a_million_is_accepted(self):
+        parse = build_parser().parse_args
+        assert parse(["simulate", "-n", "1000000"]).members == 10**6
+        assert parse(["build-surface", "out", "-n", "1000000"]).members == (10**6,)
+        # The analytical model allocates no masks.
+        assert parse(["analyze", "-n", "100000000"]).members == 10**8
 
     def test_closed_ends_are_accepted(self):
         parse = build_parser().parse_args
