@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from tools.check_docs_links import check_module_paths, main, resolve_module_path
+from tools.check_docs_links import (
+    check_class_names,
+    check_module_paths,
+    main,
+    resolve_module_path,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -91,6 +96,49 @@ def test_spans_that_are_not_package_paths_are_ignored(tree):
 
 def test_live_docs_resolve():
     assert check_module_paths(REPO_ROOT) == []
+    assert check_class_names(REPO_ROOT) == []
+
+
+@pytest.fixture
+def named_tree(tree: Path) -> Path:
+    """The miniature repository plus a subclass, a test class and a tool class."""
+    (tree / "src" / "repro" / "simulation" / "replay.py").write_text(
+        "from repro.simulation.engine import EventScheduler\n\n"
+        "class ReplayScheduler(EventScheduler):\n    def replay(self) -> None: ...\n"
+    )
+    (tree / "tests").mkdir()
+    (tree / "tests" / "test_engine.py").write_text("class TestEventScheduler:\n    pass\n")
+    (tree / "tools").mkdir()
+    (tree / "tools" / "gate.py").write_text("class GateReport:\n    rows = ()\n")
+    return tree
+
+
+def test_class_names_resolve_across_src_tests_tools_and_builtins(named_tree):
+    (named_tree / "README.md").write_text(
+        "`EventScheduler` `EventScheduler.run` `EventScheduler.horizon` "
+        "`ReplayScheduler.replay` `ReplayScheduler.run` `TestEventScheduler` "
+        "`GateReport.rows` `ValueError` `ValueError.args` `None`\n"
+    )
+    assert check_class_names(named_tree) == []
+
+
+def test_planted_deleted_class_fails(named_tree):
+    (named_tree / "README.md").write_text("`EventScheduler` was `EventQueue`.")
+    (named_tree / "docs" / "GUIDE.md").write_text(
+        "`ReplayScheduler.rewind`, `EventScheduler.clock`, `KeyError.nope`"
+    )
+    problems = check_class_names(named_tree)
+    assert [p.split(":")[0] for p in problems] == ["README.md", *["docs/GUIDE.md"] * 3]
+    for name in ("EventQueue", "ReplayScheduler.rewind", "EventScheduler.clock", "KeyError.nope"):
+        assert sum(f"`{name}` names no class" in p for p in problems) == 1
+
+
+def test_file_names_letters_and_constants_are_skipped(named_tree):
+    (named_tree / "README.md").write_text(
+        "`BENCHMARK.json` `Makefile.yml` `R` `P` `PAIRS` `MAX_MEMBERS.size` "
+        "`EventScheduler.run()` `lowercase_name`\n"
+    )
+    assert check_class_names(named_tree) == []
 
 
 def test_live_checker_passes(capsys):
