@@ -183,6 +183,26 @@ def assert_same_leg(got, want):
 class TestPlaneParity:
     """The one-pass plane lands exactly what the two-pass reference lands."""
 
+    @pytest.mark.parametrize("value", [0.0, 0.4, 1.0])
+    def test_constant_fast_path_equals_reference(self, value):
+        # One broadcast time per round stands for the reference's per-message
+        # array, and count x value for its summed latency draws.
+        plane = DeliveryTimePlane(NetworkModel(latency=latency_constant(value)), 3, 20)
+        reference = latency_plane.ReferenceDeliveryTimePlane(
+            NetworkModel(latency=latency_constant(value)), 3, 20
+        )
+        assert plane.constant_fast_path
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        legs = np.random.default_rng(6)
+        for round_index in range(6):
+            cells = legs.integers(0, 60, size=int(legs.choice([0, 1, 37])))
+            aux = None if round_index % 2 else np.arange(cells.size, dtype=np.int64)
+            got = plane.schedule(round_index, cells, rng, aux=aux)
+            assert_same_leg(got, reference.schedule(round_index, cells, ref_rng, aux=aux))
+            assert not got[1].flags.writeable
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert plane.network.total_latency == pytest.approx(reference.network.total_latency)
+
     @settings(max_examples=150, deadline=None)
     @given(
         round_period=st.sampled_from((0.3, 1.0, 2.5)),
