@@ -23,6 +23,14 @@ Every case that runs with a network also hashes the ``(R, n)``
 an output as much as the masks are, on the constant-latency plane of the
 loss-only cases as on the exponential one.
 
+The ``serve/stream`` case hashes the lines :func:`~repro.serving.serve.serve_loop`
+writes for :data:`SERVE_LINES` on a small seeded surface: a reliability key
+missed, hit and hit with an ``id``, ids of every JSON scalar kind, each kind
+of ``dimension`` and ``pareto`` answer, ``info``, each error kind, and a
+``shutdown`` after which the last line goes unanswered.  It pins the wire
+byte for byte: key order, separators, ASCII escapes and ``null`` for the
+non-finite floats.
+
 Each ``experiment/<id>`` case hashes the stdout of ``repro run <id> --scale
 small``, run in-process through :func:`repro.cli.main`: the printed table of
 every registered experiment whose table is deterministic.  Two registered
@@ -51,6 +59,8 @@ import numpy as np
 from repro.cli import main as cli_main
 from repro.core.distributions import PoissonFanout
 from repro.experiments.protocol_comparison import protocol_zoo
+from repro.serving.serve import serve_loop
+from repro.serving.surface import SurfaceGrid, build_surface
 from repro.simulation.churn import PoissonChurnModel
 from repro.simulation.gossip import simulate_gossip_batch
 from repro.simulation.network import (
@@ -113,6 +123,41 @@ UNDIGESTED_EXPERIMENTS = {
     "dimensioning": "takes about 28 s at small scale, too slow for tier-1",
     "surface_dimensioning": "prints its build time and wall-clock speedups",
 }
+
+#: The request lines of the ``serve/stream`` case, in the order they are sent.
+SERVE_LINES = (
+    # One key as a miss, as a hit, and as a hit with an id.
+    '{"op": "reliability", "q": 0.9, "loss": 0.1, "fanout": 4}',
+    '{"op": "reliability", "q": 0.9, "loss": 0.1, "fanout": 4}',
+    '{"op": "reliability", "q": 0.9, "loss": 0.1, "fanout": 4, "id": "hit"}',
+    # A grid point: the cell itself, no interpolation.
+    '{"op": "reliability", "q": 0.8, "loss": 0.2, "fanout": 5}',
+    # Ids of every JSON scalar kind; a list id is refused.
+    '{"op": "reliability", "q": 0.9, "loss": 0.1, "fanout": 4, "id": "\u00f1-\u03b2"}',
+    '{"op": "info", "id": 12345678901234567890}',
+    '{"op": "pareto", "q": 0.9, "target": 0.6, "id": -2.5}',
+    '{"op": "dimension", "q": 0.9, "target": 0.6, "id": true}',
+    '{"op": "reliability", "q": 1.0, "loss": 0.0, "fanout": 9, "id": null}',
+    '{"op": "info", "id": [1]}',
+    # Infeasible (NaN achieved reliability and cost), min_cost, and off-grid live.
+    '{"op": "dimension", "q": 0.8, "loss": 0.2, "target": 0.99999}',
+    '{"op": "dimension", "q": 0.9, "target": 0.6, "objective": "min_cost"}',
+    '{"op": "dimension", "q": 0.5, "target": 0.3, "live_fallback": true}',
+    '{"op": "pareto", "q": 0.9, "target": 0.99}',
+    '{"op": "pareto", "q": 1.0, "loss": 0.2, "target": 0.6}',
+    '{"op": "info"}',
+    # Bad JSON, a non-object, an unknown op, a missing field, a string
+    # coordinate, an off-grid point and a target outside (0, 1).
+    '{"op": "reliability", "q": ',
+    "[1, 2]",
+    '{"op": "teleport", "id": 7}',
+    '{"op": "reliability", "q": 0.9}',
+    '{"op": "reliability", "q": "0.9", "fanout": 4}',
+    '{"op": "reliability", "q": 0.5, "fanout": 4}',
+    '{"op": "dimension", "q": 0.9, "target": 1.5}',
+    '{"op": "shutdown"}',
+    '{"op": "info"}',
+)
 
 
 def _has_churn(plane: str) -> bool:
@@ -181,8 +226,20 @@ def _experiment_case(experiment_id: str) -> Callable[[], str]:
     return run
 
 
+def _serve_stream() -> str:
+    surface = build_surface(
+        SurfaceGrid(ns=(64,), qs=(0.8, 1.0), losses=(0.0, 0.2), fanouts=(2.0, 5.0, 9.0)),
+        repetitions=24,
+        seed=SEED,
+    )
+    out = io.StringIO()
+    serve_loop(surface, io.StringIO("\n".join(SERVE_LINES) + "\n"), out)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def cases() -> dict[str, Callable[[], str]]:
-    """Every golden case by id (``<engine or protocol id>/<plane>``, ``experiment/<id>``)."""
+    """Every golden case by id (``<engine or protocol id>/<plane>``, ``serve/stream``,
+    ``experiment/<id>``)."""
     out = {
         f"gossip/{plane}": _gossip_case(plane)
         for plane in ("plain", "iid-loss", "latency", "churn", *COMBINED)
@@ -191,6 +248,7 @@ def cases() -> dict[str, Callable[[], str]]:
     for protocol_id, protocol in zoo:
         for plane in ("plain", "iid-loss", "gilbert-elliott", "churn", "latency", *COMBINED):
             out[f"{protocol_id}/{plane}"] = _protocol_case(protocol, plane)
+    out["serve/stream"] = _serve_stream
     for experiment_id in EXPERIMENTS:
         out[f"experiment/{experiment_id}"] = _experiment_case(experiment_id)
     return out
