@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import product
 
@@ -217,9 +218,11 @@ def outcome(serve, **point) -> tuple:
         answer = serve(**point)
     except Exception as exc:  # the oracle raises whatever the engine raised
         return ("raised", type(exc), str(exc))
+    # Fields by name: a cached encoding in the instance dict is no part of the answer.
     return tuple(
-        (name, type(value), value.hex() if isinstance(value, float) else value)
-        for name, value in vars(answer).items()
+        (f.name, type(value), value.hex() if isinstance(value, float) else value)
+        for f in dataclasses.fields(answer)
+        for value in [getattr(answer, f.name)]
     )
 
 
